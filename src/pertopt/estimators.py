@@ -117,7 +117,8 @@ def spsa_gradient_for_direction(
     if c <= 0:
         raise ValueError(f"perturbation size c must be > 0, got {c}")
     # division by delta below requires every entry nonzero
-    assert np.all(delta != 0.0), "perturbation direction contains a zero entry"
+    if not np.all(delta != 0.0):
+        raise ValueError("perturbation direction contains a zero entry")
     f_plus = _evaluate(f, theta + c * delta, "+c*delta")
     f_minus = _evaluate(f, theta - c * delta, "-c*delta")
     g = (f_plus - f_minus) / (2.0 * c * delta)

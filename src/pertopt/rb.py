@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq, minimize_scalar
 
 from .transmon import embed_qubit_gate, measure_population, rotation_unitary
 
@@ -70,13 +70,15 @@ class CliffordGroup:
     ``decompositions[k]`` lists generator indices applied left-to-right
     (earliest first) to build element ``k``.  ``multiplication[i, j]`` is
     the element equal to applying ``i`` then ``j``; ``inverse[i]`` composes
-    with ``i`` to the identity (element 0).
+    with ``i`` to the identity (element 0).  ``x90_element`` is the
+    element equal to the X90 generator.
     """
 
     unitaries: tuple[np.ndarray, ...]
     decompositions: tuple[tuple[int, ...], ...]
     multiplication: np.ndarray
     inverse: np.ndarray
+    x90_element: int
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -90,7 +92,7 @@ class CliffordGroup:
 
 
 def build_clifford_group() -> CliffordGroup:
-    """Breadth-first closure of the generator set; asserts order 24."""
+    """Breadth-first closure of the generator set; checks order 24."""
     gens = _generator_unitaries()
     elements: list[np.ndarray] = []
     decomps: list[tuple[int, ...]] = []
@@ -111,7 +113,8 @@ def build_clifford_group() -> CliffordGroup:
         for g_idx, g in enumerate(gens):
             add(g @ base, base_decomp + (g_idx,))
         head += 1
-    assert len(elements) == 24, f"Clifford closure found {len(elements)} elements"
+    if len(elements) != 24:
+        raise RuntimeError(f"Clifford closure found {len(elements)} elements")
 
     n = len(elements)
     multiplication = np.empty((n, n), dtype=np.intp)
@@ -122,13 +125,15 @@ def build_clifford_group() -> CliffordGroup:
     inverse = np.empty(n, dtype=np.intp)
     for i in range(n):
         matches = np.flatnonzero(multiplication[i] == 0)
-        assert matches.size == 1, "group inverse must be unique"
+        if matches.size != 1:
+            raise RuntimeError(f"element {i} has {matches.size} group inverses")
         inverse[i] = matches[0]
     return CliffordGroup(
         unitaries=tuple(elements),
         decompositions=tuple(decomps),
         multiplication=multiplication,
         inverse=inverse,
+        x90_element=index[_canonical_key(gens[X90_GENERATOR_INDEX])],
     )
 
 
@@ -180,6 +185,12 @@ def run_rb(
     state, followed by the ideal-composition recovery Clifford; survival
     is the measured ground population.  ``interleaved=True`` inserts the
     gate under test after every Clifford.
+
+    The Clifford indices are drawn one ``(n_sequences, m)`` block per
+    length in ladder order; with ``shots > 0`` the per-sequence
+    measurement draws follow, also in ladder order.  All sequences are
+    then stepped together: rows sorted by descending length, so the rows
+    still running at step ``s`` form a prefix.
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -193,33 +204,43 @@ def run_rb(
         raise ValueError(f"shots must be >= 0, got {shots}")
     rng = np.random.default_rng(seed)
     group = clifford_group()
-    compiled = compile_cliffords(group, gate)
-    x90_element = group.index_of(rotation_unitary("x", math.pi / 2.0))
-    mult = group.multiplication
-    n_levels = gate.shape[0]
-    ground = np.zeros(n_levels, dtype=complex)
-    ground[0] = 1.0
+    compiled = np.stack(compile_cliffords(group, gate))
+    step_matrices, step_table = compiled, group.multiplication
+    if interleaved:
+        # fold the gate under test (an X90 slot) into every step
+        step_matrices = gate @ compiled
+        step_table = step_table[step_table, group.x90_element]
 
-    survival = np.empty(lengths.size)
+    # draws[s, row]: row-major blocks of n_sequences rows per ladder entry,
+    # longest length first (stable, so ties keep ladder order)
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    row_lengths = np.repeat(lengths[order], n_sequences)
+    draws = np.zeros((lengths.max(), row_lengths.size), dtype=np.uint8)
     for li, m in enumerate(lengths):
-        acc = 0.0
-        for _ in range(n_sequences):
-            draws = rng.integers(0, len(group), size=m)
-            psi = ground
-            composite = 0
-            for idx in draws:
-                psi = compiled[idx] @ psi
-                composite = mult[composite, idx]
-                if interleaved:
-                    psi = gate @ psi
-                    composite = mult[composite, x90_element]
-            psi = compiled[group.inverse[composite]] @ psi
-            meas_rng = rng if shots > 0 else None
-            acc += measure_population(psi, shots, meas_rng).ground
-        survival[li] = acc / n_sequences
+        start = slot[li] * n_sequences
+        draws[:m, start:start + n_sequences] = rng.integers(
+            0, len(group), size=(n_sequences, m)
+        ).T
+    n_active = np.searchsorted(-row_lengths, -np.arange(draws.shape[0]))
+
+    psi = np.zeros((row_lengths.size, gate.shape[0]), dtype=complex)
+    psi[:, 0] = 1.0
+    composite = np.zeros(row_lengths.size, dtype=np.intp)
+    for s, k in enumerate(n_active):
+        idx = draws[s, :k]
+        psi[:k] = np.einsum("rij,rj->ri", step_matrices[idx], psi[:k])
+        composite[:k] = step_table[composite[:k], idx]
+    recovery = compiled[group.inverse[composite]]
+    psi = np.einsum("rij,rj->ri", recovery, psi)
+
+    # back to ladder order before measuring
+    psi = psi.reshape(lengths.size, n_sequences, -1)[slot].reshape(psi.shape)
+    ground = measure_population(psi, shots, rng if shots > 0 else None).ground
     return RBData(
         lengths=lengths,
-        survival=survival,
+        survival=ground.reshape(lengths.size, n_sequences).mean(axis=1),
         n_sequences=n_sequences,
         shots=shots,
         interleaved=interleaved,
@@ -243,18 +264,77 @@ def _decay_model(m, amplitude, offset, decay):
     return amplitude * decay**m + offset
 
 
-def fit_rb_decay(lengths, survival) -> RBFitResult:
-    """Least-squares fit of the RB decay curve.
+def _profile(decays, lengths: np.ndarray, survival: np.ndarray):
+    """Best amplitude and offset on [0, 1]^2, and their misfit, per decay.
 
-    Exactly constant survival carries no decay information and is returned
-    as ``decay_rate = 1`` with infinite errors and ``degenerate=True``.
-    A singular fit covariance also sets the degenerate flag.
+    For a fixed decay the model ``amplitude * x + offset`` with
+    ``x = decay**m`` is linear, and the misfit a convex quadratic in
+    (amplitude, offset).  When its unconstrained minimum lies outside the
+    box, the constrained one lies on an edge, where clipping the 1-D
+    minimum is exact; the best of the interior point and the four edge
+    minima is the answer.
+    """
+    n = lengths.size
+    y_mean = survival.sum() / n
+    v = survival - y_mean
+    with np.errstate(all="ignore"):
+        x = np.asarray(decays, dtype=float).reshape(-1, 1) ** lengths
+        x_mean = x.sum(axis=1) / n
+        u = x - x_mean[:, None]
+        suu, suv = (u * u).sum(axis=1), u @ v
+        # rows: interior, amplitude 0 or 1, offset 0 or 1; an all-zero x
+        # leaves the last two undefined (NaN), and amplitude 0 is exact
+        amplitude = np.empty((5, x_mean.size))
+        offset = np.empty_like(amplitude)
+        amplitude[0] = suv / suu
+        offset[0] = y_mean - amplitude[0] * x_mean
+        amplitude[1:3] = [[0.0], [1.0]]
+        offset[1:3] = (y_mean - amplitude[1:3] * x_mean).clip(0.0, 1.0)
+        offset[3:] = [[0.0], [1.0]]
+        amplitude[3:] = (
+            (suv + n * x_mean * (y_mean - offset[3:])) / (suu + n * x_mean**2)
+        ).clip(0.0, 1.0)
+        residual = survival - amplitude[..., None] * x - offset[..., None]
+        ssr = (residual * residual).sum(axis=-1)
+        inside = (amplitude[0] == amplitude[0].clip(0.0, 1.0)) & (
+            offset[0] == offset[0].clip(0.0, 1.0)
+        )
+    ssr[0, ~inside] = np.inf
+    ssr[~np.isfinite(ssr)] = np.inf
+    best = ssr.argmin(axis=0)
+    cols = np.arange(x_mean.size)
+    return amplitude[best, cols], offset[best, cols], ssr[best, cols]
+
+
+# survival spread of a perfect gate: roundoff of thousands of sequence
+# products, far below any decay a finite shot count or gate error shows
+_FLAT_SURVIVAL = 1e-10
+# half-width around the bounded search's optimum polished by root finding
+_POLISH_WIDTH = 1e-6
+
+
+def fit_rb_decay(lengths, survival) -> RBFitResult:
+    """Least-squares fit of ``amplitude * decay**m + offset`` to RB data.
+
+    Variable projection: for a fixed decay the model is linear in
+    amplitude and offset, which are solved exactly on [0, 1]^2, and the
+    remaining misfit is minimised over ``decay`` in [0, 1.01] by a coarse
+    grid, a bounded search in the best bracket and a root polish of the
+    misfit's derivative.  The physical bounds keep shallow decays off the
+    ``amplitude * (1 - decay) ~ const`` ridge where amplitude and decay
+    are unidentifiable.  Standard errors come from the Jacobian at the
+    optimum (SVD pseudo-inverse, scaled by SSR / (n - 3)); a singular
+    covariance sets ``degenerate``.  Survival constant to within
+    ``_FLAT_SURVIVAL`` carries no decay information and is returned as
+    ``decay_rate = 1`` with infinite errors and ``degenerate=True``.
     """
     lengths = np.asarray(lengths, dtype=float)
     survival = np.asarray(survival, dtype=float)
     if lengths.shape != survival.shape or lengths.ndim != 1 or lengths.size < 3:
         raise ValueError("need >= 3 aligned (length, survival) points")
-    if np.ptp(survival) == 0.0:
+    if not (np.all(np.isfinite(lengths)) and np.all(np.isfinite(survival))):
+        raise ValueError("lengths and survival must be finite")
+    if np.ptp(survival) <= _FLAT_SURVIVAL:
         return RBFitResult(
             amplitude=0.0,
             offset=float(survival[0]),
@@ -264,31 +344,52 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
             stderr_decay=math.inf,
             degenerate=True,
         )
-    try:
-        with warnings.catch_warnings():
-            # singular covariance is reported via the degenerate flag instead
-            warnings.simplefilter("ignore")
-            # physical bounds keep shallow decays off the A*(1-p) ~ const
-            # ridge where amplitude and decay are unidentifiable
-            popt, pcov = curve_fit(
-                _decay_model,
-                lengths,
-                survival,
-                p0=(0.5, 0.5, 0.99),
-                bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
-                maxfev=20000,
-            )
-    except RuntimeError as exc:
-        residuals = survival - _decay_model(lengths, 0.5, 0.5, 0.99)
-        raise RBFitError(f"RB decay fit did not converge: {exc}", residuals) from exc
-    stderr = np.sqrt(np.diag(pcov))
-    degenerate = not np.all(np.isfinite(stderr))
-    amplitude, offset, decay = (float(v) for v in popt)
-    if not 0.0 < decay <= 1.01:
+
+    def misfit(decay):
+        return _profile(decay, lengths, survival)[2][0]
+
+    def slope(decay):
+        # d(misfit)/d(decay) at the best amplitude and offset for this decay:
+        # the slope of the profiled misfit (envelope theorem)
+        (amplitude,), (offset,), _ = _profile(decay, lengths, survival)
+        residual = survival - _decay_model(lengths, amplitude, offset, decay)
+        return -2.0 * amplitude * residual @ _decay_derivative(decay, lengths)
+
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 21),
+        1.0 - np.logspace(-7.0, 0.0, 71),
+        1.0 + np.logspace(-7.0, -2.0, 51),
+    ]))
+    best = int(np.argmin(_profile(grid, lengths, survival)[2]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    search = minimize_scalar(
+        misfit, bounds=(lo, hi), method="bounded", options={"xatol": 1e-15}
+    )
+    if not search.success:
         raise RBFitError(
-            f"fitted decay {decay} outside (0, 1.01]",
-            residuals=survival - _decay_model(lengths, *popt),
+            f"RB decay fit did not converge: {search.message}",
+            residuals=survival - _decay_model(lengths, 0.5, 0.5, 0.99),
         )
+    # the misfit alone resolves its minimum only to ~sqrt(eps) in decay;
+    # a sign change of its slope nearby pins it to roundoff.  The upper
+    # end stays a candidate because 1.01 is a valid decay; 0 is not.
+    left = max(search.x - _POLISH_WIDTH, lo)
+    right = min(search.x + _POLISH_WIDTH, hi)
+    candidates = [search.x, right]
+    if slope(left) < 0.0 < slope(right):
+        candidates.append(brentq(slope, left, right, xtol=1e-15))
+    amplitude, offset, ssr = _profile(candidates, lengths, survival)
+    pick = int(np.argmin(ssr))
+    amplitude, offset = float(amplitude[pick]), float(offset[pick])
+    decay, ssr = float(candidates[pick]), float(ssr[pick])
+    stderr = _fit_stderr(
+        np.column_stack([
+            decay**lengths,
+            np.ones_like(lengths),
+            amplitude * _decay_derivative(decay, lengths),
+        ]),
+        ssr,
+    )
     return RBFitResult(
         amplitude=amplitude,
         offset=offset,
@@ -296,8 +397,30 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
         stderr_amplitude=float(stderr[0]),
         stderr_offset=float(stderr[1]),
         stderr_decay=float(stderr[2]),
-        degenerate=degenerate,
+        degenerate=not np.all(np.isfinite(stderr)),
     )
+
+
+def _decay_derivative(decay: float, lengths: np.ndarray) -> np.ndarray:
+    """``d(decay**m)/d(decay)``, taking the ``m = 0`` term as 0."""
+    with np.errstate(all="ignore"):
+        return np.where(lengths > 0, lengths * decay ** (lengths - 1.0), 0.0)
+
+
+def _fit_stderr(jacobian: np.ndarray, ssr: float) -> np.ndarray:
+    """Parameter standard errors of a least-squares fit, as ``curve_fit``.
+
+    Moore-Penrose inverse of ``J^T J`` discarding singular values below
+    ``eps * max(J.shape) * s_max``, scaled by ``SSR / (n - p)``; infinite
+    when there are no spare degrees of freedom.
+    """
+    n, n_params = jacobian.shape
+    if n <= n_params or not np.all(np.isfinite(jacobian)):
+        return np.full(n_params, math.inf)
+    _, s, vt = np.linalg.svd(jacobian, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jacobian.shape) * s[0]
+    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    return np.sqrt(np.diag(pcov) * ssr / (n - n_params))
 
 
 def interleaved_gate_fidelity(p_reference: float, p_interleaved: float) -> float:

@@ -225,7 +225,10 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
 
 
 class PopulationMeasurement(NamedTuple):
-    """Level-population estimate split into ground/excited/leakage."""
+    """Level-population estimate split into ground/excited/leakage.
+
+    Fields are floats for one state and arrays for a batch of states.
+    """
 
     ground: float
     excited: float
@@ -237,19 +240,27 @@ def measure_population(
     shots: int = 0,
     rng: np.random.Generator | int | None = None,
 ) -> PopulationMeasurement:
-    """Estimate level populations of a pure state.
+    """Estimate level populations of a pure state or a batch of them.
 
-    ``shots=0`` returns exact populations; ``shots>0`` draws one
-    multinomial sample over all levels (an ``rng`` is then required).
-    Leakage aggregates every level above the first excited state.
+    ``state`` is one vector or an ``(n, levels)`` batch of row vectors;
+    a batch returns arrays of ``n`` populations per field, drawn row by
+    row in order.  ``shots=0`` returns exact populations; ``shots>0``
+    draws one multinomial sample over all levels per state (an ``rng`` is
+    then required).  Leakage aggregates every level above the first
+    excited state.
     """
     state = np.asarray(state, dtype=complex)
-    if state.ndim != 1 or state.size < 2:
-        raise ValueError("state must be a 1-D vector with >= 2 levels")
-    probs = np.abs(state) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state norm deviates from 1 by {abs(total - 1.0):.3e}")
+    if state.ndim not in (1, 2) or state.shape[-1] < 2:
+        raise ValueError(
+            "state must be a 1-D vector or a 2-D batch of rows with >= 2 levels"
+        )
+    # transposes put levels first, so one code path serves both shapes
+    probs = (np.abs(state) ** 2).T
+    total = probs.sum(axis=0)
+    # max over .flat skips numpy's reduction overhead on a lone scalar
+    drift = max(abs(total - 1.0).flat)
+    if drift > 1e-9:
+        raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
@@ -258,12 +269,11 @@ def measure_population(
         if rng is None:
             raise ValueError("shot sampling requires an rng (Generator or seed)")
         rng = np.random.default_rng(rng)
-        freq = rng.multinomial(shots, probs / total) / shots
-    return PopulationMeasurement(
-        ground=float(freq[0]),
-        excited=float(freq[1]),
-        leakage=float(freq[2:].sum()),
-    )
+        freq = rng.multinomial(shots, (probs / total).T).T / shots
+    ground, excited, leakage = freq[0], freq[1], freq[2:].sum(axis=0)
+    if state.ndim == 1:
+        return PopulationMeasurement(float(ground), float(excited), float(leakage))
+    return PopulationMeasurement(ground, excited, leakage)
 
 
 def rotation_unitary(axis: str, angle: float) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import curve_fit
 
 from pertopt import (
     RBFitError,
@@ -19,7 +23,7 @@ from pertopt.rb import (
     clifford_group,
     compile_cliffords,
 )
-from pertopt.transmon import embed_qubit_gate, rotation_unitary
+from pertopt.transmon import embed_qubit_gate, measure_population, rotation_unitary
 
 X90 = rotation_unitary("x", np.pi / 2)
 
@@ -82,6 +86,7 @@ def test_x90_usage_across_decompositions():
     assert sum(counts) == 12
     assert max(len(d) for d in g.decompositions) <= 3
     assert g.index_of(X90) == 1
+    assert g.x90_element == g.index_of(X90)
 
 
 def test_compile_with_ideal_gate_reproduces_group():
@@ -138,9 +143,95 @@ def test_rb_validation():
         run_rb(np.ones((2, 3)), (0, 2), 4)
 
 
+def test_rb_rejects_non_unitary_gate():
+    # every sequence's final state is norm-checked in the batched measurement
+    with pytest.raises(ValueError, match="norm"):
+        run_rb(1.01 * X90, (0, 3, 7), 3, seed=5)
+    with pytest.raises(ValueError, match="norm"):
+        run_rb(embed_qubit_gate(X90, 3) * 0.99, (2, 0), 2, shots=10, seed=5)
+
+
+def test_rb_survival_comes_back_in_ladder_order():
+    gate = rotation_unitary("x", np.pi / 2 + 0.3)
+    data = run_rb(gate, (40, 0, 5, 40), 3, seed=8)
+    np.testing.assert_array_equal(data.lengths, (40, 0, 5, 40))
+    assert data.survival[1] == pytest.approx(1.0, abs=1e-12)
+    assert data.survival[0] != data.survival[3]  # separate draws per entry
+
+
 def test_three_level_ideal_gate_keeps_survival():
     data = run_rb(embed_qubit_gate(X90, 3), (0, 8, 40), 4, seed=1)
     assert np.max(np.abs(data.survival - 1.0)) <= 1e-12
+
+
+def loop_run_rb(gate, lengths, n_sequences, shots=0, seed=None, interleaved=False):
+    """Reference: one sequence at a time, one Clifford per mat-vec product.
+
+    The per-sequence index draws come first and take the same stream as
+    ``run_rb``'s one block per ladder entry.  At shots 0 that is the whole
+    stream; with shots, the per-sequence measurement draws follow in
+    ladder order.
+    """
+    rng = np.random.default_rng(seed)
+    group = clifford_group()
+    compiled = compile_cliffords(group, gate)
+    x90_element = group.index_of(X90)
+    draws = [[rng.integers(0, 24, size=m) for _ in range(n_sequences)]
+             for m in lengths]
+    ground = np.zeros(gate.shape[0], dtype=complex)
+    ground[0] = 1.0
+    survival = []
+    for sequences in draws:
+        acc = 0.0
+        for sequence in sequences:
+            psi, composite = ground, 0
+            for idx in sequence:
+                psi = compiled[idx] @ psi
+                composite = group.multiplication[composite, idx]
+                if interleaved:
+                    psi = gate @ psi
+                    composite = group.multiplication[composite, x90_element]
+            psi = compiled[group.inverse[composite]] @ psi
+            acc += measure_population(psi, shots, rng if shots else None).ground
+        survival.append(acc / n_sequences)
+    return np.array(survival)
+
+
+def noisy_x90(n_levels, strength, seed):
+    """Embedded X90 followed by a random coherent error."""
+    h = np.random.default_rng(seed).normal(size=(2, n_levels, n_levels))
+    h = h[0] + 1j * h[1]
+    return expm(-1j * strength * (h + h.conj().T)) @ embed_qubit_gate(X90, n_levels)
+
+
+@pytest.mark.parametrize("shots", [0, 50])
+def test_batched_run_rb_matches_sequence_loop(shots):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60 if shots == 0 else 20, deadline=None)
+    @hypothesis.given(
+        gate=st.builds(
+            noisy_x90,
+            n_levels=st.sampled_from([2, 3]),
+            strength=st.floats(0.0, 0.2),
+            seed=st.integers(0, 2**32 - 1),
+        ),
+        # ladders may hold 0, repeat a length and come in any order
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+        n_sequences=st.integers(1, 4),
+        interleaved=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(gate, lengths, n_sequences, interleaved, seed):
+        data = run_rb(gate, lengths, n_sequences, shots=shots, seed=seed,
+                      interleaved=interleaved)
+        expected = loop_run_rb(gate, lengths, n_sequences, shots=shots,
+                               seed=seed, interleaved=interleaved)
+        np.testing.assert_array_equal(data.lengths, lengths)
+        np.testing.assert_allclose(data.survival, expected, rtol=0.0, atol=1e-12)
+
+    check()
 
 
 # -------------------------------------------------------- fixture benchmark
@@ -238,6 +329,94 @@ def test_fit_stderr_covers_truth():
         if abs(fit.decay_rate - truth) <= 3.0 * fit.stderr_decay:
             covered += 1
     assert covered >= 94
+
+
+def _curve_fit_reference(lengths, survival):
+    """The bounded trust-region fit ``fit_rb_decay`` used to run, converged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        popt, _ = curve_fit(
+            lambda m, a, b, p: a * p**m + b, lengths, survival,
+            p0=(0.5, 0.5, 0.99), bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
+            maxfev=20000, ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        )
+    return popt
+
+
+def _ssr(lengths, survival, amplitude, offset, decay):
+    return float(np.sum((survival - amplitude * decay**lengths - offset) ** 2))
+
+
+def _random_decays(n_cases, seed):
+    """Noisy decays, a third of them with a bound that binds."""
+    rng = np.random.default_rng(seed)
+    ladders = [
+        np.array([1.0, 20, 60, 150, 300]),
+        np.arange(0.0, 310, 10),
+        np.array([0.0, 30, 80, 150, 250, 400, 600, 900, 1300, 1800]),
+        np.array([0.0, 5, 20]),
+        np.array([1.0, 2, 3]),
+        np.array([0.0, 1, 2, 4, 8]),
+    ]
+    for case in range(n_cases):
+        lengths = ladders[case % len(ladders)]
+        kind = case % 6
+        decay = rng.uniform(0.0, 0.3) if kind == 0 else rng.uniform(0.9, 0.9999)
+        amplitude = rng.uniform(0.2, 0.6)
+        offset = rng.uniform(0.0, 1.0 - amplitude)
+        if kind == 1:
+            amplitude, offset = 1.0, 0.0
+        elif kind == 2:
+            amplitude, offset = 0.0, rng.uniform(0.2, 0.8)
+        elif kind == 3:
+            offset = 1.0 - amplitude
+        noise = 10 ** rng.uniform(-4.0, -1.5)
+        survival = amplitude * decay**lengths + offset
+        survival += noise * rng.standard_normal(lengths.size)
+        yield lengths, np.clip(survival, 0.0, 1.0)
+
+
+def test_fit_matches_curve_fit_oracle():
+    interior_cases = 0
+    for lengths, survival in _random_decays(180, seed=7):
+        try:
+            ref = _curve_fit_reference(lengths, survival)
+        except RuntimeError:
+            continue  # the reference itself did not converge
+        fit = fit_rb_decay(lengths, survival)
+        ssr_ref = _ssr(lengths, survival, *ref)
+        ssr_fit = _ssr(lengths, survival, fit.amplitude, fit.offset,
+                       fit.decay_rate)
+        # exact 3-point fits leave only roundoff, hence the absolute floor
+        assert ssr_fit <= ssr_ref * (1.0 + 1e-12) + 1e-24
+        # where the reference sits inside the box, at the same minimum, and
+        # the decay is identifiable (a well-conditioned Jacobian)
+        interior = all(1e-6 < v < hi - 1e-6 for v, hi in zip(ref, (1, 1, 1.01)))
+        same_minimum = abs(ssr_fit - ssr_ref) <= 1e-9 * ssr_ref
+        jacobian = np.column_stack([
+            ref[2] ** lengths,
+            np.ones_like(lengths),
+            ref[0] * lengths * ref[2] ** np.maximum(lengths - 1.0, 0.0),
+        ])
+        identifiable = np.linalg.cond(jacobian) < 1e6 and fit.stderr_decay < 0.05
+        if interior and same_minimum and identifiable:
+            interior_cases += 1
+            assert fit.decay_rate == pytest.approx(ref[2], abs=1e-6)
+    assert interior_cases >= 30
+
+
+def test_fit_rejects_non_finite_survival():
+    lengths = np.array([0.0, 10, 20, 40])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rb_decay(lengths, np.array([1.0, 0.9, bad, 0.7]))
+
+
+def test_fit_treats_roundoff_spread_as_constant():
+    survival = 1.0 - 1e-12 * np.array([0.0, 3.0, 1.0, 7.0])
+    fit = fit_rb_decay((0, 10, 100, 1000), survival)
+    assert fit.degenerate
+    assert fit.decay_rate == 1.0
 
 
 def test_interleaved_fidelity_formula():

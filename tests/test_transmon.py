@@ -222,7 +222,11 @@ def test_measure_population_validation():
     with pytest.raises(ValueError, match="rng"):
         measure_population(np.array([1.0, 0.0]), shots=100)
     with pytest.raises(ValueError, match="1-D"):
-        measure_population(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        measure_population(np.ones((2, 2, 2)) / 2.0)
+    with pytest.raises(ValueError, match="1-D"):
+        measure_population(np.ones((3, 1)))
+    with pytest.raises(ValueError, match="norm"):
+        measure_population(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_shot_sampling_is_seeded_and_normalized():
@@ -232,6 +236,31 @@ def test_shot_sampling_is_seeded_and_normalized():
     assert a == b
     assert a.ground + a.excited + a.leakage == pytest.approx(1.0, abs=1e-12)
     assert a.ground * 500 == pytest.approx(round(a.ground * 500), abs=1e-9)
+
+
+def _random_states(n, n_levels, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(n, n_levels)) + 1j * rng.normal(size=(n, n_levels))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def test_batched_measurement_matches_rows_exactly():
+    states = _random_states(7, 3, seed=4)
+    batch = measure_population(states)
+    for k, state in enumerate(states):
+        row = measure_population(state)
+        assert (batch.ground[k], batch.excited[k], batch.leakage[k]) == row
+    assert isinstance(row.ground, float)
+
+
+def test_batched_shot_draws_match_rows_on_one_generator():
+    states = _random_states(9, 4, seed=5)
+    batch = measure_population(states, shots=300, rng=np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    rows = [measure_population(state, shots=300, rng=rng) for state in states]
+    np.testing.assert_array_equal(batch.ground, [r.ground for r in rows])
+    np.testing.assert_array_equal(batch.excited, [r.excited for r in rows])
+    np.testing.assert_array_equal(batch.leakage, [r.leakage for r in rows])
 
 
 def test_shot_frequencies_concentrate_on_probabilities():
