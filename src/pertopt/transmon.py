@@ -257,8 +257,9 @@ def measure_population(
     # transposes put levels first, so one code path serves both shapes
     probs = (np.abs(state) ** 2).T
     total = probs.sum(axis=0)
-    # max over .flat skips numpy's reduction overhead on a lone scalar
-    drift = max(abs(total - 1.0).flat)
+    drift = abs(total - 1.0)
+    if drift.ndim:  # a batch: its worst row
+        drift = drift.max()
     if drift > 1e-9:
         raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
     if shots < 0:
