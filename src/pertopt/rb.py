@@ -211,8 +211,9 @@ def run_rb(
         step_matrices = gate @ compiled
         step_table = step_table[step_table, group.x90_element]
 
-    # draws[s, row]: row-major blocks of n_sequences rows per ladder entry,
-    # longest length first (stable, so ties keep ladder order)
+    # draws[s, row] is the index applied at step s by sequence row; rows
+    # come in blocks of n_sequences per ladder entry, longest first (stable,
+    # so equal lengths keep ladder order), zero past their own length
     order = np.argsort(-lengths, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
