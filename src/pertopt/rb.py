@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import least_squares
 
 from .transmon import embed_qubit_gate, measure_population, rotation_unitary
 
@@ -32,7 +32,7 @@ DEFAULT_RB_LENGTHS = (
 
 
 class RBFitError(RuntimeError):
-    """Decay fit failed to converge; ``residuals`` holds the last misfit."""
+    """Decay fit failed; ``residuals`` holds the misfit where it stopped."""
 
     def __init__(self, message: str, residuals: np.ndarray | None = None):
         super().__init__(message)
@@ -265,68 +265,20 @@ def _decay_model(m, amplitude, offset, decay):
     return amplitude * decay**m + offset
 
 
-def _profile(decays, lengths: np.ndarray, survival: np.ndarray):
-    """Best amplitude and offset on [0, 1]^2, and their misfit, per decay.
-
-    For a fixed decay the model ``amplitude * x + offset`` with
-    ``x = decay**m`` is linear, and the misfit a convex quadratic in
-    (amplitude, offset).  When its unconstrained minimum lies outside the
-    box, the constrained one lies on an edge, where clipping the 1-D
-    minimum is exact; the best of the interior point and the four edge
-    minima is the answer.
-    """
-    n = lengths.size
-    y_mean = survival.sum() / n
-    v = survival - y_mean
-    with np.errstate(all="ignore"):
-        x = np.asarray(decays, dtype=float).reshape(-1, 1) ** lengths
-        x_mean = x.sum(axis=1) / n
-        u = x - x_mean[:, None]
-        suu, suv = (u * u).sum(axis=1), u @ v
-        # rows: interior, amplitude 0 or 1, offset 0 or 1; an all-zero x
-        # leaves the last two undefined (NaN), and amplitude 0 is exact
-        amplitude = np.empty((5, x_mean.size))
-        offset = np.empty_like(amplitude)
-        amplitude[0] = suv / suu
-        offset[0] = y_mean - amplitude[0] * x_mean
-        amplitude[1:3] = [[0.0], [1.0]]
-        offset[1:3] = (y_mean - amplitude[1:3] * x_mean).clip(0.0, 1.0)
-        offset[3:] = [[0.0], [1.0]]
-        amplitude[3:] = (
-            (suv + n * x_mean * (y_mean - offset[3:])) / (suu + n * x_mean**2)
-        ).clip(0.0, 1.0)
-        residual = survival - amplitude[..., None] * x - offset[..., None]
-        ssr = (residual * residual).sum(axis=-1)
-        inside = (amplitude[0] == amplitude[0].clip(0.0, 1.0)) & (
-            offset[0] == offset[0].clip(0.0, 1.0)
-        )
-    ssr[0, ~inside] = np.inf
-    ssr[~np.isfinite(ssr)] = np.inf
-    best = ssr.argmin(axis=0)
-    cols = np.arange(x_mean.size)
-    return amplitude[best, cols], offset[best, cols], ssr[best, cols]
-
-
-# survival spread of a perfect gate: roundoff of thousands of sequence
-# products, far below any decay a finite shot count or gate error shows
-_FLAT_SURVIVAL = 1e-10
-# half-width around the bounded search's optimum polished by root finding
-_POLISH_WIDTH = 1e-6
-
-
 def fit_rb_decay(lengths, survival) -> RBFitResult:
     """Least-squares fit of ``amplitude * decay**m + offset`` to RB data.
 
-    Variable projection: for a fixed decay the model is linear in
-    amplitude and offset, which are solved exactly on [0, 1]^2, and the
-    remaining misfit is minimised over ``decay`` in [0, 1.01] by a coarse
-    grid, a bounded search in the best bracket and a root polish of the
-    misfit's derivative.  The physical bounds keep shallow decays off the
-    ``amplitude * (1 - decay) ~ const`` ridge where amplitude and decay
-    are unidentifiable.  Standard errors come from the Jacobian at the
-    optimum (SVD pseudo-inverse, scaled by SSR / (n - 3)); a singular
-    covariance sets ``degenerate``.  Survival constant to within
-    ``_FLAT_SURVIVAL`` carries no decay information and is returned as
+    A bounded trust-region search (``scipy.optimize.least_squares``, the
+    method ``curve_fit`` runs under bounds) from (0.5, 0.5, 0.99) on
+    [0, 1] x [0, 1] x [0, 1.01].  The physical bounds keep shallow decays
+    off the ``amplitude * (1 - decay) ~ const`` ridge where amplitude and
+    decay are unidentifiable.  On a short ladder the search stops on that
+    ridge near the slow decay; the exact least-squares optimum there is
+    often a small fast component over a flat offset, which reads a
+    near-perfect gate's ``1 - decay`` hundreds of times too high.
+    Standard errors come from the Jacobian at the optimum, as in
+    ``curve_fit``; a singular covariance sets ``degenerate``.  Exactly
+    constant survival carries no decay information and is returned as
     ``decay_rate = 1`` with infinite errors and ``degenerate=True``.
     """
     lengths = np.asarray(lengths, dtype=float)
@@ -335,7 +287,7 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
         raise ValueError("need >= 3 aligned (length, survival) points")
     if not (np.all(np.isfinite(lengths)) and np.all(np.isfinite(survival))):
         raise ValueError("lengths and survival must be finite")
-    if np.ptp(survival) <= _FLAT_SURVIVAL:
+    if np.ptp(survival) == 0.0:
         return RBFitResult(
             amplitude=0.0,
             offset=float(survival[0]),
@@ -345,52 +297,23 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
             stderr_decay=math.inf,
             degenerate=True,
         )
-
-    def misfit(decay):
-        return _profile(decay, lengths, survival)[2][0]
-
-    def slope(decay):
-        # d(misfit)/d(decay) at the best amplitude and offset for this decay:
-        # the slope of the profiled misfit (envelope theorem)
-        (amplitude,), (offset,), _ = _profile(decay, lengths, survival)
-        residual = survival - _decay_model(lengths, amplitude, offset, decay)
-        return -2.0 * amplitude * residual @ _decay_derivative(decay, lengths)
-
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, 21),
-        1.0 - np.logspace(-7.0, 0.0, 71),
-        1.0 + np.logspace(-7.0, -2.0, 51),
-    ]))
-    best = int(np.argmin(_profile(grid, lengths, survival)[2]))
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-    search = minimize_scalar(
-        misfit, bounds=(lo, hi), method="bounded", options={"xatol": 1e-15}
+    search = least_squares(
+        lambda params: _decay_model(lengths, *params) - survival,
+        (0.5, 0.5, 0.99),
+        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
+        max_nfev=20000,
     )
     if not search.success:
         raise RBFitError(
             f"RB decay fit did not converge: {search.message}",
-            residuals=survival - _decay_model(lengths, 0.5, 0.5, 0.99),
+            residuals=-search.fun,
         )
-    # the misfit alone resolves its minimum only to ~sqrt(eps) in decay;
-    # a sign change of its slope nearby pins it to roundoff.  The upper
-    # end stays a candidate because 1.01 is a valid decay; 0 is not.
-    left = max(search.x - _POLISH_WIDTH, lo)
-    right = min(search.x + _POLISH_WIDTH, hi)
-    candidates = [search.x, right]
-    if slope(left) < 0.0 < slope(right):
-        candidates.append(brentq(slope, left, right, xtol=1e-15))
-    amplitude, offset, ssr = _profile(candidates, lengths, survival)
-    pick = int(np.argmin(ssr))
-    amplitude, offset = float(amplitude[pick]), float(offset[pick])
-    decay, ssr = float(candidates[pick]), float(ssr[pick])
-    stderr = _fit_stderr(
-        np.column_stack([
-            decay**lengths,
-            np.ones_like(lengths),
-            amplitude * _decay_derivative(decay, lengths),
-        ]),
-        ssr,
-    )
+    amplitude, offset, decay = (float(v) for v in search.x)
+    if not 0.0 < decay <= 1.01:
+        raise RBFitError(
+            f"fitted decay {decay} outside (0, 1.01]", residuals=-search.fun
+        )
+    stderr = _fit_stderr(search.jac, 2.0 * search.cost)
     return RBFitResult(
         amplitude=amplitude,
         offset=offset,
@@ -400,12 +323,6 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
         stderr_decay=float(stderr[2]),
         degenerate=not np.all(np.isfinite(stderr)),
     )
-
-
-def _decay_derivative(decay: float, lengths: np.ndarray) -> np.ndarray:
-    """``d(decay**m)/d(decay)``, taking the ``m = 0`` term as 0."""
-    with np.errstate(all="ignore"):
-        return np.where(lengths > 0, lengths * decay ** (lengths - 1.0), 0.0)
 
 
 def _fit_stderr(jacobian: np.ndarray, ssr: float) -> np.ndarray:
