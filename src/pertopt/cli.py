@@ -18,6 +18,7 @@ from .experiments import (
     ConfigError,
     experiment_config_from_dict,
     landscape_scan,
+    parse_schedules,
     run_experiment,
     scan_config_from_dict,
     tuneup_configs_from_dict,
@@ -25,7 +26,6 @@ from .experiments import (
     write_scan_csv,
 )
 from .schedules import validate_schedules
-from .experiments import _parse_schedules
 
 
 def _load_config(path: str) -> dict:
@@ -87,7 +87,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     section = config.get("schedules", config)
     if not isinstance(section, dict):
         raise ConfigError("schedules section must be an object")
-    schedules = _parse_schedules(section)
+    schedules = parse_schedules(section)
     report = validate_schedules(schedules)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

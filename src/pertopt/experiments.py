@@ -11,6 +11,7 @@ CSVs to the last digit (floats are serialized via ``repr``).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -25,13 +26,13 @@ from .estimators import EstimatorConfig
 from .objectives import (
     ObjectiveConfig,
     make_pulse_objective,
+    pulse_propagator,
     synthetic_objective,
 )
 from .optimizers import OptimizationAborted, Trajectory, run_optimization
 from .rb import fit_rb_decay, interleaved_gate_fidelity, run_rb, RBFitResult
 from .schedules import ScheduleSet
 from .transmon import TransmonParams, average_gate_fidelity, rotation_unitary
-from . import objectives as _objectives
 
 PULSE_OBJECTIVES = ("lx", "ly", "l_combined", "l_rb")
 SYNTHETIC_OBJECTIVES = ("sphere", "shifted_quadratic", "cubic")
@@ -178,6 +179,28 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over.
+
+    An interrupted write leaves the previous file whole (or no file).
+    """
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
 def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> None:
     dim = traj.initial_theta.size
     header = ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]
@@ -200,8 +223,7 @@ def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> Non
             ]
             + [_format_float(x) for x in rec.theta]
         )
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    _write_atomic(path, _csv_text(rows))
 
 
 @dataclass(frozen=True)
@@ -278,7 +300,6 @@ def summarize_csv_files(paths: Sequence[str | Path]) -> list[SummaryRecord]:
 
 def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> None:
     """Atomic write (temp file + rename) of summary JSON lines."""
-    path = Path(path)
     lines = [
         json.dumps(
             {
@@ -290,9 +311,7 @@ def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> N
         )
         for r in records
     ]
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_summary_jsonl(path: str | Path) -> list[SummaryRecord]:
@@ -366,8 +385,7 @@ def write_scan_csv(
     rows = [[f"theta_{d1}\\theta_{d2}"] + [_format_float(v) for v in scan.values_2]]
     for i, v1 in enumerate(scan.values_1):
         rows.append([_format_float(v1)] + [_format_float(x) for x in grid[i]])
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    _write_atomic(path, _csv_text(rows))
 
 
 @dataclass(frozen=True)
@@ -449,9 +467,7 @@ def assess_gate(
     final_rb: FinalRBConfig = FinalRBConfig(),
 ) -> tuple[RBFitResult, RBFitResult, float, float]:
     """Reference + interleaved RB of the pulse at ``theta`` vs the direct oracle."""
-    u = _objectives._propagator(
-        objective_config.pulse_from_theta(theta), objective_config
-    )
+    u = pulse_propagator(objective_config.pulse_from_theta(theta), objective_config)
     root = np.random.SeedSequence(final_rb.seed)
     ref_seq, int_seq = root.spawn(2)
     ref = run_rb(
@@ -495,9 +511,7 @@ def _write_tuneup_json(path: Path, result: TuneupResult) -> None:
         "interleaved_fidelity": result.interleaved_fidelity,
         "direct_fidelity": result.direct_fidelity,
     }
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, path)
+    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +524,7 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _parse_schedules(section: dict) -> ScheduleSet:
+def parse_schedules(section: dict) -> ScheduleSet:
     allowed = {
         "a0", "alpha", "c0", "zeta", "beta0", "lambda", "gamma", "delta",
         "truncation_step",
@@ -636,7 +650,7 @@ def experiment_config_from_dict(config: dict) -> ExperimentConfig:
 
     objective_kwargs = _parse_objective(config["objective"])
     estimator = _parse_estimator(config.get("estimator", {}))
-    schedules = _parse_schedules(config["schedules"])
+    schedules = parse_schedules(config["schedules"])
 
     optimizer = config["optimizer"]
     allowed_opt = {"update_rule", "budget_evaluations", "seed", "clip_box"}

@@ -108,11 +108,11 @@ class LossValue:
     """A loss evaluation plus accounting and optional breakdown."""
 
     value: float
-    n_calls: int = 1
     components: dict[str, float] | None = None
 
 
-def _propagator(ab: HannPulseParams, cfg: ObjectiveConfig) -> np.ndarray:
+def pulse_propagator(ab: HannPulseParams, cfg: ObjectiveConfig) -> np.ndarray:
+    """Simulated propagator of the Hann pulse ``ab`` under ``cfg``."""
     seq = hann_waveform(ab)
     if cfg.distortion is not None:
         seq = replace(seq, distortion=np.asarray(cfg.distortion, dtype=float))
@@ -187,19 +187,19 @@ def _loss_y_from_propagator(
 def loss_x(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Mean absolute population error against repeated-X90 targets (+x prep)."""
     rng = _rng_for_shots(cfg.shots, rng)
-    return LossValue(value=_loss_x_from_propagator(_propagator(ab, cfg), cfg, rng))
+    return LossValue(value=_loss_x_from_propagator(pulse_propagator(ab, cfg), cfg, rng))
 
 
 def loss_y(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Mean absolute population error against the constant 1/2 target (+y prep)."""
     rng = _rng_for_shots(cfg.shots, rng)
-    return LossValue(value=_loss_y_from_propagator(_propagator(ab, cfg), cfg, rng))
+    return LossValue(value=_loss_y_from_propagator(pulse_propagator(ab, cfg), cfg, rng))
 
 
 def loss_combined(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Average of the x and y losses on one simulated propagator."""
     rng = _rng_for_shots(cfg.shots, rng)
-    u = _propagator(ab, cfg)
+    u = pulse_propagator(ab, cfg)
     lx = _loss_x_from_propagator(u, cfg, rng)
     ly = _loss_y_from_propagator(u, cfg, rng)
     return LossValue(
@@ -218,7 +218,7 @@ def loss_rb(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     if rng is None:
         raise ValueError("loss_rb requires an rng for Clifford sequence sampling")
     rng = np.random.default_rng(rng)
-    u = _propagator(ab, cfg)
+    u = pulse_propagator(ab, cfg)
     data = run_rb(
         u,
         cfg.rb_lengths,

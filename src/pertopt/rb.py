@@ -190,7 +190,10 @@ def run_rb(
     length in ladder order; with ``shots > 0`` the per-sequence
     measurement draws follow, also in ladder order.  All sequences are
     then stepped together: rows sorted by descending length, so the rows
-    still running at step ``s`` form a prefix.
+    still running at step ``s`` form a prefix.  Each row's composite
+    element is reduced afterwards, one ladder block at a time, by
+    multiplying neighbouring steps pairwise (the group product is
+    associative, so this is exact).
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -205,11 +208,11 @@ def run_rb(
     rng = np.random.default_rng(seed)
     group = clifford_group()
     compiled = np.stack(compile_cliffords(group, gate))
-    step_matrices, step_table = compiled, group.multiplication
+    table = group.multiplication.astype(np.uint8)
+    step_matrices = compiled
     if interleaved:
         # fold the gate under test (an X90 slot) into every step
         step_matrices = gate @ compiled
-        step_table = step_table[step_table, group.x90_element]
 
     # draws[s, row] is the index applied at step s by sequence row; rows
     # come in blocks of n_sequences per ladder entry, longest first (stable,
@@ -228,11 +231,22 @@ def run_rb(
 
     psi = np.zeros((row_lengths.size, gate.shape[0]), dtype=complex)
     psi[:, 0] = 1.0
-    composite = np.zeros(row_lengths.size, dtype=np.intp)
     for s, k in enumerate(n_active):
-        idx = draws[s, :k]
-        psi[:k] = np.einsum("rij,rj->ri", step_matrices[idx], psi[:k])
-        composite[:k] = step_table[composite[:k], idx]
+        steps = step_matrices.take(draws[s, :k], axis=0)
+        psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
+    composite = np.zeros(row_lengths.size, dtype=np.uint8)
+    for li, m in enumerate(lengths):
+        start = slot[li] * n_sequences
+        block = draws[:m, start:start + n_sequences]
+        if interleaved:
+            block = table[block, group.x90_element]
+        while len(block) > 1:
+            half = len(block) // 2
+            block = np.concatenate(
+                (table[block[0:2 * half:2], block[1::2]], block[2 * half:])
+            )
+        if m:
+            composite[start:start + n_sequences] = block[0]
     recovery = compiled[group.inverse[composite]]
     psi = np.einsum("rij,rj->ri", recovery, psi)
 
@@ -263,6 +277,36 @@ class RBFitResult:
 
 def _decay_model(m, amplitude, offset, decay):
     return amplitude * decay**m + offset
+
+
+_FIT_BOUNDS = ([0.0, 0.0, 0.0], [1.0, 1.0, 1.01])
+# scipy's relative step for 2-point differences in float64
+_FD_STEP = np.finfo(np.float64).eps ** 0.5
+
+
+def _forward_difference_jacobian(lengths, survival):
+    """scipy's 2-point ``approx_derivative`` of the decay residuals.
+
+    All three columns come from one broadcast evaluation of
+    ``_decay_model`` instead of one call per parameter, so every entry is
+    bit-identical to the Jacobian ``least_squares`` estimates by itself.
+    scipy's step is ``sqrt(eps) * max(1, |x|)`` with the sign of ``x``,
+    which is + inside the box (its lower bounds are 0).  Where it would
+    pass an upper bound scipy reverses it, because the reversed step fits:
+    every side of the box is far longer than the step.
+    """
+    upper = np.asarray(_FIT_BOUNDS[1])
+    # row 0 is x itself, row 1 + j steps parameter j
+    shift = np.vstack((np.zeros(3), np.eye(3)))
+
+    def jacobian(x):
+        h = _FD_STEP * np.maximum(1.0, x)
+        h[x + h > upper] *= -1.0
+        points = x + shift * h
+        f = _decay_model(lengths, *points.T[:, :, None]) - survival
+        return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
+
+    return jacobian
 
 
 def fit_rb_decay(lengths, survival) -> RBFitResult:
@@ -300,7 +344,8 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
     search = least_squares(
         lambda params: _decay_model(lengths, *params) - survival,
         (0.5, 0.5, 0.99),
-        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
+        jac=_forward_difference_jacobian(lengths, survival),
+        bounds=_FIT_BOUNDS,
         max_nfev=20000,
     )
     if not search.success:

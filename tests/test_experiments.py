@@ -28,6 +28,7 @@ from pertopt import (
     tuneup_configs_from_dict,
     two_stage_tuneup,
     write_scan_csv,
+    write_summary_jsonl,
     write_trajectory_csv,
 )
 from pertopt.optimizers import OptimizationAborted, Trajectory
@@ -125,6 +126,49 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert back.n_evals[row] == rec.n_evals
         assert back.losses[row] == rec.loss
         np.testing.assert_array_equal(back.thetas[row], rec.theta)
+
+
+class _HalfWrittenFile:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("writer", ["trajectory", "summary"])
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    result = run_experiment(sphere_config(repeats=2), tmp_path)
+    if writer == "trajectory":
+        path = result.trajectory_paths[0]
+    else:
+        path = result.summary_path
+    before = path.read_bytes()
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return _HalfWrittenFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        if writer == "trajectory":
+            write_trajectory_csv(path, 0, result.trajectories[1])
+        else:
+            write_summary_jsonl(path, result.summary[:2])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "demo_run0.csv", "demo_run1.csv", "demo_summary.jsonl",
+    ]
 
 
 def test_read_trajectory_csv_validation(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import curve_fit, least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 import pertopt.rb as rb_module
 from pertopt import (
@@ -53,12 +54,18 @@ def test_group_is_closed_with_permutation_rows():
 
 def test_multiplication_table_matches_matrix_products():
     g = clifford_group()
-    rng = np.random.default_rng(2)
-    for _ in range(60):
-        i, j = rng.integers(0, 24, size=2)
-        product = g.unitaries[j] @ g.unitaries[i]  # apply i then j
-        k = g.multiplication[i, j]
-        assert phase_distance(product, g.unitaries[k]) < 1e-9
+    for i in range(24):
+        for j in range(24):
+            product = g.unitaries[j] @ g.unitaries[i]  # apply i then j
+            k = g.multiplication[i, j]
+            assert phase_distance(product, g.unitaries[k]) < 1e-9
+
+
+def test_multiplication_table_is_associative():
+    # run_rb reduces each sequence's composite element pairwise
+    m = clifford_group().multiplication
+    i, j, k = np.ix_(range(24), range(24), range(24))
+    np.testing.assert_array_equal(m[m[i, j], k], m[i, m[j, k]])
 
 
 def test_inverse_table():
@@ -372,13 +379,65 @@ def _random_decays(n_cases, seed):
         yield lengths, np.clip(survival, 0.0, 1.0)
 
 
+def _upper_bound_decays(n_cases, seed):
+    """Flat, rising and bound-pinned survival: the search ends at or near
+    an upper bound, where finite-difference steps are taken backwards."""
+    rng = np.random.default_rng(seed)
+    ladders = [
+        np.array([1.0, 20, 60, 150, 300]),
+        np.arange(0.0, 310, 10),
+        np.array([0.0, 5, 20]),
+        np.array([0.0, 30, 80, 150, 250, 400, 600, 900, 1300, 1800]),
+    ]
+    for case in range(n_cases):
+        lengths = ladders[case % len(ladders)]
+        kind = case % 5
+        scale = lengths / lengths[-1]
+        noise = 10 ** rng.uniform(-7, -4) * rng.standard_normal(lengths.size)
+        if kind == 0:  # flat
+            survival = rng.uniform(0.5, 1.0) + noise
+        elif kind == 1:  # slightly rising
+            survival = rng.uniform(0.5, 0.9) + rng.uniform(1e-6, 1e-3) * scale + noise
+        elif kind == 2:  # rising faster than any decay <= 1.01 allows
+            survival = rng.uniform(0.2, 0.5) + rng.uniform(0.2, 0.5) * scale**3 + noise
+        else:  # amplitude or offset at its bound of 1
+            decay = rng.uniform(0.9999, 1.0) if case % 2 else rng.uniform(0.9, 0.99)
+            amplitude, offset = (1.0, rng.uniform(0.0, 0.2)) if kind == 3 else (
+                rng.uniform(0.05, 0.3), 1.0)
+            survival = amplitude * decay**lengths + offset + noise
+        yield lengths, survival
+
+
 def test_fit_matches_bounded_curve_fit():
-    for lengths, survival in _random_decays(60, seed=7):
+    cases = list(_random_decays(60, seed=7)) + list(_upper_bound_decays(40, seed=11))
+    fits = []
+    for lengths, survival in cases:
         fit = fit_rb_decay(lengths, survival)
         popt, pcov = _curve_fit_reference(lengths, survival)
         assert (fit.amplitude, fit.offset, fit.decay_rate) == tuple(popt)
         stderr = (fit.stderr_amplitude, fit.stderr_offset, fit.stderr_decay)
         np.testing.assert_allclose(stderr, np.sqrt(np.diag(pcov)), rtol=1e-12)
+        fits.append(fit)
+    # the second batch reaches every upper bound
+    assert max(f.decay_rate for f in fits) > 1.0099
+    assert max(f.amplitude for f in fits) > 0.999
+    assert max(f.offset for f in fits) > 0.999
+
+
+def test_fit_jacobian_is_scipys_forward_difference():
+    lengths = np.array([1.0, 20, 60, 150, 300])
+    survival = np.array([0.99, 0.97, 0.93, 0.85, 0.78])
+    fun = lambda q: q[0] * q[2] ** lengths + q[1] - survival  # noqa: E731
+    jacobian = rb_module._forward_difference_jacobian(lengths, survival)
+    points = np.random.default_rng(5).uniform(0.0, [1.0, 1.0, 1.01], size=(50, 3))
+    # within one step of the upper bounds the step is taken backwards
+    points[::3, 2] = 1.01 - 1e-9
+    points[1::3, :2] = 1.0 - 1e-9
+    for x in points:
+        expected = approx_derivative(
+            fun, x, method="2-point", f0=fun(x), bounds=rb_module._FIT_BOUNDS
+        )
+        np.testing.assert_array_equal(jacobian(x), expected)
 
 
 TEST8_LADDER = (1, 20, 60, 150, 300)
