@@ -511,6 +511,12 @@ def _write_tuneup_json(path: Path, result: TuneupResult) -> None:
         "interleaved_fidelity": result.interleaved_fidelity,
         "direct_fidelity": result.direct_fidelity,
     }
+    for arm, fit in (("reference", result.reference_fit),
+                     ("interleaved", result.interleaved_fit)):
+        # a degenerate fit's error is infinite: null keeps the file strict JSON
+        stderr = fit.stderr_decay if math.isfinite(fit.stderr_decay) else None
+        payload[f"{arm}_stderr_decay"] = stderr
+        payload[f"{arm}_degenerate"] = fit.degenerate
     _write_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 

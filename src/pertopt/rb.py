@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._trf import trf_bounds
 from .transmon import embed_qubit_gate, measure_population, rotation_unitary
 
 GENERATOR_NAMES = ("identity", "x90", "x180", "xm90", "y90", "ym90")
@@ -143,20 +143,50 @@ def clifford_group() -> CliffordGroup:
     return build_clifford_group()
 
 
-def compile_cliffords(
-    group: CliffordGroup, gate_under_test: np.ndarray
-) -> list[np.ndarray]:
-    """Matrices of all Cliffords with X90 slots replaced by the test gate."""
-    gate_under_test = np.asarray(gate_under_test, dtype=complex)
-    n_levels = gate_under_test.shape[0]
+@functools.lru_cache(maxsize=None)
+def _ideal_compilation(decompositions: tuple[tuple[int, ...], ...], n_levels: int):
+    """The part of ``compile_cliffords`` that does not see the test gate.
+
+    Returns the embedded ideal generators, a stack of every element
+    without X90 (zero where X90 occurs), and for each element with X90
+    its index, the product of the generators before its first X90 and
+    the generators from that X90 on.  All arrays are read-only.
+    """
     gen_mats = [embed_qubit_gate(g, n_levels) for g in _generator_unitaries()]
-    gen_mats[X90_GENERATOR_INDEX] = gate_under_test
-    compiled = []
-    for decomp in group.decompositions:
+    compiled = np.zeros((len(decompositions), n_levels, n_levels), dtype=complex)
+    with_x90 = []
+    for k, decomp in enumerate(decompositions):
         u = np.eye(n_levels, dtype=complex)
-        for g_idx in decomp:
+        for i, g_idx in enumerate(decomp):
+            if g_idx == X90_GENERATOR_INDEX:
+                with_x90.append((k, u, decomp[i:]))
+                break
             u = gen_mats[g_idx] @ u
-        compiled.append(u)
+        else:
+            compiled[k] = u
+    # every caller shares these arrays
+    for a in (*gen_mats, compiled, *(u for _, u, _ in with_x90)):
+        a.flags.writeable = False
+    return tuple(gen_mats), compiled, tuple(with_x90)
+
+
+def compile_cliffords(group: CliffordGroup, gate_under_test: np.ndarray) -> np.ndarray:
+    """Matrices of all Cliffords with X90 slots replaced by the test gate.
+
+    A ``(24, n, n)`` array.  Elements without X90 come from a per-size
+    cache; the others are rebuilt from their cached product up to the
+    first X90, multiplying left to right as a fresh build would.
+    """
+    gate_under_test = np.asarray(gate_under_test, dtype=complex)
+    gen_mats, ideal, with_x90 = _ideal_compilation(
+        group.decompositions, gate_under_test.shape[0]
+    )
+    compiled = ideal.copy()
+    for k, u, rest in with_x90:
+        for g_idx in rest:
+            g = gate_under_test if g_idx == X90_GENERATOR_INDEX else gen_mats[g_idx]
+            u = g @ u
+        compiled[k] = u
     return compiled
 
 
@@ -207,7 +237,7 @@ def run_rb(
         raise ValueError(f"shots must be >= 0, got {shots}")
     rng = np.random.default_rng(seed)
     group = clifford_group()
-    compiled = np.stack(compile_cliffords(group, gate))
+    compiled = compile_cliffords(group, gate)
     table = group.multiplication.astype(np.uint8)
     step_matrices = compiled
     if interleaved:
@@ -279,7 +309,10 @@ def _decay_model(m, amplitude, offset, decay):
     return amplitude * decay**m + offset
 
 
-_FIT_BOUNDS = ([0.0, 0.0, 0.0], [1.0, 1.0, 1.01])
+_FIT_BOUNDS = (np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.01]))
+_FIT_START = np.array([0.5, 0.5, 0.99])
+# evaluation limit of the search, curve_fit's maxfev
+_FIT_MAX_NFEV = 20000
 # scipy's relative step for 2-point differences in float64
 _FD_STEP = np.finfo(np.float64).eps ** 0.5
 
@@ -295,7 +328,7 @@ def _forward_difference_jacobian(lengths, survival):
     pass an upper bound scipy reverses it, because the reversed step fits:
     every side of the box is far longer than the step.
     """
-    upper = np.asarray(_FIT_BOUNDS[1])
+    upper = _FIT_BOUNDS[1]
     # row 0 is x itself, row 1 + j steps parameter j
     shift = np.vstack((np.zeros(3), np.eye(3)))
 
@@ -312,9 +345,10 @@ def _forward_difference_jacobian(lengths, survival):
 def fit_rb_decay(lengths, survival) -> RBFitResult:
     """Least-squares fit of ``amplitude * decay**m + offset`` to RB data.
 
-    A bounded trust-region search (``scipy.optimize.least_squares``, the
-    method ``curve_fit`` runs under bounds) from (0.5, 0.5, 0.99) on
-    [0, 1] x [0, 1] x [0, 1.01].  The physical bounds keep shallow decays
+    A bounded trust-region search from (0.5, 0.5, 0.99) on [0, 1] x
+    [0, 1] x [0, 1.01]: ``_trf.trf_bounds``, a port of the method
+    ``curve_fit`` runs under bounds through ``least_squares``, which stops
+    at the same bits.  The physical bounds keep shallow decays
     off the ``amplitude * (1 - decay) ~ const`` ridge where amplitude and
     decay are unidentifiable.  On a short ladder the search stops on that
     ridge near the slow decay; the exact least-squares optimum there is
@@ -341,16 +375,17 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
             stderr_decay=math.inf,
             degenerate=True,
         )
-    search = least_squares(
+    search = trf_bounds(
         lambda params: _decay_model(lengths, *params) - survival,
-        (0.5, 0.5, 0.99),
-        jac=_forward_difference_jacobian(lengths, survival),
-        bounds=_FIT_BOUNDS,
-        max_nfev=20000,
+        _forward_difference_jacobian(lengths, survival),
+        _FIT_START,
+        *_FIT_BOUNDS,
+        max_nfev=_FIT_MAX_NFEV,
     )
-    if not search.success:
+    if search.status == 0:
         raise RBFitError(
-            f"RB decay fit did not converge: {search.message}",
+            "RB decay fit did not converge: "
+            "The maximum number of function evaluations is exceeded.",
             residuals=-search.fun,
         )
     amplitude, offset, decay = (float(v) for v in search.x)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from pertopt import (
     ScheduleSet,
     TransmonParams,
     experiment_config_from_dict,
+    fit_rb_decay,
     landscape_scan,
     read_summary_jsonl,
     read_trajectory_csv,
@@ -352,6 +354,8 @@ def test_two_stage_tuneup_smoke(tmp_path):
     assert set(payload) == {
         "best_rough", "best_fine", "reference_decay", "interleaved_decay",
         "interleaved_fidelity", "direct_fidelity",
+        "reference_stderr_decay", "reference_degenerate",
+        "interleaved_stderr_decay", "interleaved_degenerate",
     }
     # the fine stage starts from the best rough iterate
     np.testing.assert_array_equal(result.fine.initial_theta, result.best_rough[2])
@@ -376,6 +380,43 @@ def test_tuneup_keeps_an_already_good_gate(tmp_path):
     assert result.direct_fidelity == pytest.approx(1.0, abs=1e-12)
     assert result.interleaved_fidelity >= 0.999
     assert abs(result.interleaved_fidelity - result.direct_fidelity) <= 5e-4
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:interleaved decay exceeds")
+def test_tuneup_json_records_final_fit_trust(tmp_path):
+    # a barely-tuned gate: both final fits have finite errors
+    rough = pulse_config(name="tune", budget=4, objective="l_combined",
+                         objective_config=ObjectiveConfig(transmon=TWO_LEVEL, shots=0))
+    fine = pulse_config(name="tune", budget=4, objective="l_rb",
+                        objective_config=rb_objective_config())
+    final = FinalRBConfig(lengths=(0, 10, 30, 60, 100), n_sequences=4, seed=7)
+    result = two_stage_tuneup(rough, fine, tmp_path, final)
+    payload = _strict_json((tmp_path / "tune_tuneup.json").read_text())
+    for arm, fit in (("reference", result.reference_fit),
+                     ("interleaved", result.interleaved_fit)):
+        assert not fit.degenerate
+        assert payload[f"{arm}_stderr_decay"] == fit.stderr_decay
+        assert payload[f"{arm}_degenerate"] is False
+
+    # constant survival gives a degenerate fit with infinite errors,
+    # written as null
+    degenerate = fit_rb_decay((0, 10, 30), (1.0, 1.0, 1.0))
+    assert degenerate.degenerate and np.isinf(degenerate.stderr_decay)
+    path = tmp_path / "degenerate_tuneup.json"
+    experiments._write_tuneup_json(
+        path, dataclasses.replace(result, interleaved_fit=degenerate)
+    )
+    payload = _strict_json(path.read_text())
+    assert payload["reference_stderr_decay"] == result.reference_fit.stderr_decay
+    assert payload["interleaved_stderr_decay"] is None
+    assert payload["interleaved_degenerate"] is True
 
 
 def test_tuneup_stage_validation(tmp_path):

@@ -245,6 +245,36 @@ def test_budget_not_exceeded_when_indivisible():
     assert traj.total_evals == 440
 
 
+def test_billing_matches_evals_per_update_and_stays_in_budget():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(
+        estimator=st.builds(
+            EstimatorConfig,
+            method=st.sampled_from(["fdsa", "spsa", "rsgf"]),
+            n_samples=st.integers(1, 3),
+            count_baseline=st.booleans(),
+        ),
+        update_rule=st.sampled_from(["sgd", "momentum", "adam"]),
+        dim=st.integers(1, 4),
+        budget=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(estimator, update_rule, dim, budget, seed):
+        cost = estimator.evals_per_update(dim)
+        traj = run_optimization(sphere, estimator, update_rule, ScheduleSet(),
+                                np.full(dim, 0.3), budget=budget, seed=seed)
+        billed = [0] + [r.n_evals for r in traj.records]
+        assert all(b - a == cost for a, b in zip(billed, billed[1:]))
+        assert traj.total_evals == billed[-1] <= budget
+        # the loop stops only when the next update would not fit
+        assert budget - billed[-1] < cost
+
+    check()
+
+
 def test_zero_budget_records_only_initial_point():
     traj = run_optimization(
         sphere, EstimatorConfig("spsa"), "sgd", ScheduleSet(),

@@ -12,6 +12,7 @@ from scipy.optimize._numdiff import approx_derivative
 
 import pertopt.rb as rb_module
 from pertopt import (
+    FinalRBConfig,
     RBFitError,
     average_gate_fidelity,
     fit_rb_decay,
@@ -111,6 +112,23 @@ def test_compile_embeds_other_generators_on_three_levels():
         assert c.shape == (3, 3)
         assert phase_distance(u, c[:2, :2]) < 1e-9
         assert abs(c[2, 2]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compile_matches_a_full_rebuild_bit_for_bit():
+    # compile_cliffords caches what does not depend on the test gate; every
+    # element must still equal a fresh left-to-right product exactly
+    g = clifford_group()
+    for n_levels, seed in ((2, 0), (3, 1), (2, 2), (3, 3)):
+        gate = noisy_x90(n_levels, 0.05, seed)
+        gens = [embed_qubit_gate(u, n_levels) for u in _generator_unitaries()]
+        gens[X90_GENERATOR_INDEX] = gate
+        compiled = compile_cliffords(g, gate)
+        assert compiled.shape == (24, n_levels, n_levels)
+        for decomp, c in zip(g.decompositions, compiled):
+            u = np.eye(n_levels, dtype=complex)
+            for g_idx in decomp:
+                u = gens[g_idx] @ u
+            assert u.tobytes() == c.tobytes()
 
 
 def test_build_is_deterministic():
@@ -408,20 +426,54 @@ def _upper_bound_decays(n_cases, seed):
         yield lengths, survival
 
 
+TEST8_LADDER = (1, 20, 60, 150, 300)
+
+
+def _simulated_rb(seeds_per_case):
+    """RB data of noisy X90 gates on the test-8 ladder and the final one."""
+    for lengths, n_sequences in ((TEST8_LADDER, 24), (FinalRBConfig.lengths, 40)):
+        for shots in (0, 1000):
+            for interleaved in (False, True):
+                for seed in range(seeds_per_case):
+                    gate = noisy_x90(3, (0.0005, 0.003, 0.02)[seed % 3], seed)
+                    data = run_rb(gate, lengths, n_sequences, shots=shots,
+                                  seed=seed, interleaved=interleaved)
+                    yield data.lengths, data.survival
+
+
+def _least_squares_reference(lengths, survival, max_nfev=20000):
+    """scipy's own bounded trust-region search on the fit's problem."""
+    return least_squares(
+        lambda q: q[0] * q[2] ** lengths + q[1] - survival,
+        (0.5, 0.5, 0.99), bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
+        max_nfev=max_nfev,
+    )
+
+
 def test_fit_matches_bounded_curve_fit():
     cases = list(_random_decays(60, seed=7)) + list(_upper_bound_decays(40, seed=11))
+    simulated = list(_simulated_rb(3))
     fits = []
-    for lengths, survival in cases:
+    for lengths, survival in cases + simulated:
         fit = fit_rb_decay(lengths, survival)
         popt, pcov = _curve_fit_reference(lengths, survival)
         assert (fit.amplitude, fit.offset, fit.decay_rate) == tuple(popt)
         stderr = (fit.stderr_amplitude, fit.stderr_offset, fit.stderr_decay)
         np.testing.assert_allclose(stderr, np.sqrt(np.diag(pcov)), rtol=1e-12)
+        # the in-repo search ends where scipy's does, with the same Jacobian
+        # and cost, so the standard errors agree to the last bit
+        search = _least_squares_reference(lengths, survival)
+        assert (fit.amplitude, fit.offset, fit.decay_rate) == tuple(search.x)
+        reference = rb_module._fit_stderr(search.jac, 2.0 * search.cost)
+        assert stderr == tuple(reference)
         fits.append(fit)
     # the second batch reaches every upper bound
     assert max(f.decay_rate for f in fits) > 1.0099
     assert max(f.amplitude for f in fits) > 0.999
     assert max(f.offset for f in fits) > 0.999
+    # the simulated batch decays slowly, as RB data does
+    assert len(simulated) == 24
+    assert all(0.9 < f.decay_rate <= 1.01 for f in fits[len(cases):])
 
 
 def test_fit_jacobian_is_scipys_forward_difference():
@@ -438,9 +490,6 @@ def test_fit_jacobian_is_scipys_forward_difference():
             fun, x, method="2-point", f0=fun(x), bounds=rb_module._FIT_BOUNDS
         )
         np.testing.assert_array_equal(jacobian(x), expected)
-
-
-TEST8_LADDER = (1, 20, 60, 150, 300)
 
 
 def test_fit_reads_near_perfect_gate_on_short_ladder():
@@ -469,18 +518,13 @@ def test_fit_rarely_overreads_near_perfect_gates():
 
 
 def test_fit_error_carries_residuals_where_search_stopped(monkeypatch):
-    def stop_early(*args, **kwargs):
-        return least_squares(*args, **{**kwargs, "max_nfev": 2})
-
-    monkeypatch.setattr(rb_module, "least_squares", stop_early)
+    monkeypatch.setattr(rb_module, "_FIT_MAX_NFEV", 2)
     lengths = np.arange(0.0, 300, 10)
     survival = 0.45 * 0.985**lengths + 0.52
-    with pytest.raises(RBFitError) as info:
+    with pytest.raises(RBFitError, match="did not converge") as info:
         fit_rb_decay(lengths, survival)
-    stopped = stop_early(
-        lambda q: q[0] * q[2] ** lengths + q[1] - survival,
-        (0.5, 0.5, 0.99), bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.01]),
-    )
+    stopped = _least_squares_reference(lengths, survival, max_nfev=2)
+    assert stopped.status == 0
     np.testing.assert_array_equal(info.value.residuals, -stopped.fun)
 
 
