@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import os
 import warnings
@@ -38,6 +39,8 @@ PULSE_OBJECTIVES = ("lx", "ly", "l_combined", "l_rb")
 SYNTHETIC_OBJECTIVES = ("sphere", "shifted_quadratic", "cubic")
 # names accepted in config files (normative set)
 CONFIG_OBJECTIVES = ("lx", "l_combined", "l_rb", "sphere", "cubic")
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -139,8 +142,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     """Run all repeats, persist per-run CSVs and the summary JSONL.
 
     A repeat whose objective fails is recorded (partial trajectory file
-    kept, warning emitted) and excluded from the summary; if every repeat
-    fails the error propagates.
+    kept, warning emitted and logged) and excluded from the summary; if
+    every repeat fails the error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,7 +158,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
             write_trajectory_csv(path, r, exc.trajectory)
             paths.append(path)
             failures.append((r, str(exc)))
-            warnings.warn(f"run {r} failed: {exc}", stacklevel=2)
+            message = f"run {r} failed: {exc}"
+            logger.warning(message)
+            warnings.warn(message, stacklevel=2)
             continue
         write_trajectory_csv(path, r, traj)
         paths.append(path)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -119,11 +120,15 @@ def pulse_propagator(ab: HannPulseParams, cfg: ObjectiveConfig) -> np.ndarray:
     return evolve(seq, cfg.transmon)
 
 
+@lru_cache(maxsize=None)
 def _prepared_state(axis: str, n_levels: int) -> np.ndarray:
+    """Read-only ground state after a perfect 90-degree rotation about ``axis``."""
     prep = embed_qubit_gate(rotation_unitary(axis, math.pi / 2.0), n_levels)
     psi0 = np.zeros(n_levels, dtype=complex)
     psi0[0] = 1.0
-    return prep @ psi0
+    psi = prep @ psi0
+    psi.setflags(write=False)
+    return psi
 
 
 def _rng_for_shots(shots: int, rng) -> np.random.Generator | None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -219,8 +220,7 @@ def test_summarize_validation():
         summarize_trajectories([t_a, t_b])
 
 
-def test_partial_failure_is_recorded(tmp_path, monkeypatch):
-    cfg = sphere_config()
+def _fail_first_repeat(monkeypatch):
     real = experiments.run_single
 
     def flaky(c, r):
@@ -232,6 +232,11 @@ def test_partial_failure_is_recorded(tmp_path, monkeypatch):
         return real(c, r)
 
     monkeypatch.setattr(experiments, "run_single", flaky)
+
+
+def test_partial_failure_is_recorded(tmp_path, monkeypatch):
+    cfg = sphere_config()
+    _fail_first_repeat(monkeypatch)
     with pytest.warns(UserWarning, match="run 0 failed"):
         result = run_experiment(cfg, tmp_path)
 
@@ -239,6 +244,20 @@ def test_partial_failure_is_recorded(tmp_path, monkeypatch):
     assert len(result.failures) == 1 and result.failures[0][0] == 0
     assert (tmp_path / "demo_run0.csv").exists()   # partial file kept
     assert all(rec.n_runs == 2 for rec in result.summary)
+
+
+def test_partial_failure_is_logged(tmp_path, monkeypatch, caplog):
+    _fail_first_repeat(monkeypatch)
+    with pytest.warns(UserWarning) as warned, caplog.at_level(
+        logging.WARNING, logger="pertopt.experiments"
+    ):
+        run_experiment(sphere_config(), tmp_path)
+
+    message = "run 0 failed: objective failed at iteration 1: non-finite loss"
+    assert [str(w.message) for w in warned] == [message]
+    assert [
+        (rec.name, rec.levelno, rec.getMessage()) for rec in caplog.records
+    ] == [("pertopt.experiments", logging.WARNING, message)]
 
 
 @pytest.mark.filterwarnings("ignore:run [01] failed")

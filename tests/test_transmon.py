@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pertopt import (
     HannPulseParams,
@@ -17,7 +18,14 @@ from pertopt import (
     measure_population,
     rotation_unitary,
 )
-from pertopt.transmon import TWO_PI, lowering_operator
+from pertopt.objectives import _prepared_state
+from pertopt.transmon import (
+    TWO_PI,
+    UnitarityError,
+    _evolve_operators,
+    _hann_basis,
+    lowering_operator,
+)
 
 QUBIT = TransmonParams(n_levels=2)
 TRANSMON = TransmonParams()
@@ -202,6 +210,91 @@ def test_distorted_pulse_changes_rotation_angle():
     assert not np.allclose(evolve(halved, QUBIT), evolve(base, QUBIT))
 
 
+def lab_frame_propagator(i_s, q_s, dt, params, distortion=None):
+    """Oracle: time-ordered product of ``expm(-i H_k dt)``, no phase frame."""
+    if distortion is not None:
+        n = len(i_s)
+        i_s = np.convolve(i_s, distortion)[:n]
+        q_s = np.convolve(q_s, distortion)[:n]
+    a = lowering_operator(params.n_levels)
+    ad = a.T
+    h_static = -(params.anharmonicity / 2.0) * (ad @ ad @ a @ a)
+    u = np.eye(params.n_levels, dtype=complex)
+    for i_k, q_k in zip(i_s, q_s):
+        h_k = h_static + (params.drive_scale / 2.0) * (
+            i_k * (a + ad) + q_k * 1j * (ad - a)
+        )
+        u = expm(-1j * h_k * dt) @ u
+    return u
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        cases = {
+            f"random{n_seg}": (*rng.uniform(-1, 1, (2, n_seg)), 0.7, None)
+            for n_seg in (1, 2, 7, 20, 33)
+        }
+        cases["distorted"] = (*rng.uniform(-1, 1, (2, 20)), 1.3, [0.6, 0.3, 0.1])
+        cases["pure_q"] = (np.zeros(7), rng.uniform(-1, 1, 7), 1.0, None)
+        cases["negative_i"] = (-rng.uniform(0, 1, 7), np.zeros(7), 1.0, None)
+        cases["all_zero"] = (np.zeros(5), np.zeros(5), 2.0, None)
+        cases["mixed_zeros"] = (
+            np.array([0.0, -0.4, 0.0, 0.8, -0.0, 0.3]),
+            np.array([0.0, 0.0, 0.5, -0.2, -0.0, 0.0]),
+            0.5,
+            None,
+        )
+        for label, case in cases.items():
+            yield pytest.param(n, *case, id=f"{n}levels-{label}")
+
+
+@pytest.mark.parametrize("n_levels, i_s, q_s, dt, distortion", _oracle_cases())
+def test_evolve_matches_lab_frame_expm_product(n_levels, i_s, q_s, dt, distortion):
+    params = TransmonParams(n_levels=n_levels)
+    pulse = PulseSequence(i_s, q_s, dt=dt, distortion=distortion)
+    expected = lab_frame_propagator(i_s, q_s, dt, params, distortion)
+    np.testing.assert_allclose(evolve(pulse, params), expected, rtol=0.0, atol=1e-12)
+
+
+def test_returned_propagator_is_a_fresh_writable_array():
+    params = TransmonParams(n_levels=3)
+    for n_seg in (1, 20):
+        pulse = PulseSequence(np.full(n_seg, 0.3), np.full(n_seg, -0.2))
+        u = evolve(pulse, params)
+        expected = u.copy()
+        assert u.flags.writeable
+        u[...] = 0.0
+        np.testing.assert_array_equal(evolve(pulse, params), expected)
+
+
+def test_pulse_independent_caches_are_read_only():
+    cached = [
+        _hann_basis(10, 20.0, 1.0),
+        *_evolve_operators(TransmonParams()),
+        _prepared_state("x", 3),
+        _prepared_state("y", 2),
+    ]
+    for array in cached:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+
+
+@pytest.mark.parametrize("scale", [np.nan, 1.1], ids=["nan", "scaled"])
+def test_non_unitary_modes_raise(scale, monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def fake_eigh(h):
+        energies, modes = real_eigh(h)
+        return energies, modes * scale
+
+    monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+    pulse = PulseSequence(np.full(4, 0.3), np.full(4, 0.1))
+    with pytest.raises(UnitarityError, match="unitarity drift"):
+        evolve(pulse, TRANSMON)
+
+
 # ------------------------------------------------------------- measurement
 
 
@@ -227,6 +320,51 @@ def test_measure_population_validation():
         measure_population(np.ones((3, 1)))
     with pytest.raises(ValueError, match="norm"):
         measure_population(np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+def test_nan_states_raise():
+    with pytest.raises(ValueError, match="norm"):
+        measure_population(np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="norm"):
+        measure_population(np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="norm"):
+        measure_population(np.array([[np.nan, 0.0], [1.0, 0.0]]), shots=10, rng=0)
+
+
+def test_frequencies_stay_normalized():
+    hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = hypothesis.strategies
+
+    @st.composite
+    def states(draw):
+        n_levels = draw(st.integers(2, 4))
+        batch = draw(st.sampled_from([None, 1, 2, 5]))
+        shape = (n_levels, 2) if batch is None else (batch, n_levels, 2)
+        parts = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+        state = parts[..., 0] + 1j * parts[..., 1]
+        norms = np.linalg.norm(state, axis=-1, keepdims=True)
+        hypothesis.assume(np.all(norms > 1e-3))
+        return state / norms
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        state=states(),
+        shots=st.sampled_from([0, 1, 7, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(state, shots, seed):
+        m = measure_population(state, shots, rng=seed)
+        fields = np.array([m.ground, m.excited, m.leakage])
+        assert fields.shape == (3,) + state.shape[:-1]
+        np.testing.assert_allclose(fields.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(fields >= 0.0)
+        # exact populations are |amplitude|^2 of a state whose norm is 1 only
+        # to roundoff (|(1 + 1j) / sqrt(2)|^2 is 1 + 2e-16); counts / shots
+        # never exceed 1
+        assert np.all(fields <= (1.0 + 1e-12 if shots == 0 else 1.0))
+
+    check()
 
 
 def test_shot_sampling_is_seeded_and_normalized():
