@@ -21,7 +21,6 @@ import numpy as np
 from ._trf import trf_bounds
 from .transmon import embed_qubit_gate, measure_population, rotation_unitary
 
-GENERATOR_NAMES = ("identity", "x90", "x180", "xm90", "y90", "ym90")
 X90_GENERATOR_INDEX = 1
 
 # log-spaced default sequence-length ladder, dense at short lengths
@@ -219,11 +218,14 @@ def run_rb(
     The Clifford indices are drawn one ``(n_sequences, m)`` block per
     length in ladder order; with ``shots > 0`` the per-sequence
     measurement draws follow, also in ladder order.  All sequences are
-    then stepped together: rows sorted by descending length, so the rows
-    still running at step ``s`` form a prefix.  Each row's composite
-    element is reduced afterwards, one ladder block at a time, by
-    multiplying neighbouring steps pairwise (the group product is
-    associative, so this is exact).
+    then stepped together, two Cliffords per product: a table of all
+    ordered products of two step matrices (and the identity) is built
+    once per call, and each step applies one table entry per row.  Rows
+    are sorted by descending length, so the rows still running form a
+    prefix; past its own length a row draws the identity, which pads an
+    odd length exactly.  Each row's composite element is reduced
+    afterwards, one ladder block at a time, by multiplying neighbouring
+    steps pairwise (the group product is associative, so this is exact).
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -244,25 +246,43 @@ def run_rb(
         # fold the gate under test (an X90 slot) into every step
         step_matrices = gate @ compiled
 
+    # pairs[b * n_ext + a] applies ext[a] then ext[b]; ext ends with the
+    # identity.  One 2-D product forms every block (ext[b] @ ext[a])[i, k]
+    n_levels = gate.shape[0]
+    ext = np.concatenate((step_matrices, np.eye(n_levels)[None]))
+    n_ext = len(ext)
+    pairs = (
+        (ext.reshape(-1, n_levels) @ ext.transpose(1, 0, 2).reshape(n_levels, -1))
+        .reshape(n_ext, n_levels, n_ext, n_levels)
+        .transpose(0, 2, 1, 3)
+        .reshape(n_ext * n_ext, n_levels, n_levels)
+    )
+
     # draws[s, row] is the index applied at step s by sequence row; rows
     # come in blocks of n_sequences per ladder entry, longest first (stable,
-    # so equal lengths keep ladder order), zero past their own length
+    # so equal lengths keep ladder order), the identity past their own
+    # length, for an even number of steps
     order = np.argsort(-lengths, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
     row_lengths = np.repeat(lengths[order], n_sequences)
-    draws = np.zeros((lengths.max(), row_lengths.size), dtype=np.uint8)
+    n_steps = lengths.max() + lengths.max() % 2
+    draws = np.full((n_steps, row_lengths.size), len(group), dtype=np.uint8)
     for li, m in enumerate(lengths):
         start = slot[li] * n_sequences
         draws[:m, start:start + n_sequences] = rng.integers(
             0, len(group), size=(n_sequences, m)
         ).T
-    n_active = np.searchsorted(-row_lengths, -np.arange(draws.shape[0]))
+    # narrow index arrays keep a long ladder's memory small
+    pair_index = draws[1::2].astype(np.uint16)
+    pair_index *= n_ext
+    pair_index += draws[0::2]
+    n_active = np.searchsorted(-row_lengths, -np.arange(0, n_steps, 2))
 
-    psi = np.zeros((row_lengths.size, gate.shape[0]), dtype=complex)
+    psi = np.zeros((row_lengths.size, n_levels), dtype=complex)
     psi[:, 0] = 1.0
     for s, k in enumerate(n_active):
-        steps = step_matrices.take(draws[s, :k], axis=0)
+        steps = pairs.take(pair_index[s, :k], axis=0)
         psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
     composite = np.zeros(row_lengths.size, dtype=np.uint8)
     for li, m in enumerate(lengths):

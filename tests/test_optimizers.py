@@ -145,6 +145,43 @@ def test_adam_constant_coefficients_match_textbook():
         np.testing.assert_allclose(theta, ref, rtol=1e-12)
 
 
+def test_adam_matches_textbook_for_any_constant_coefficients():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        beta=st.floats(0.0, 0.9999),
+        gamma=st.floats(0.0, 0.9999),
+        a=st.floats(1e-4, 1.0),
+        gradients=st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+            min_size=1, max_size=30,
+        ),
+    )
+    def check(beta, gamma, a, gradients):
+        delta = 1e-8
+        state = AdamState.zeros(3)
+        m = v = np.zeros(3)
+        for t, g in enumerate(np.array(gradients), start=1):
+            # from theta = 0 the returned point is the step itself
+            state, step = adam_step(state, np.zeros(3), g, a, beta, gamma, delta)
+            m = beta * m + (1 - beta) * g
+            v = gamma * v + (1 - gamma) * g * g
+            m_hat = m / (1 - beta**t)
+            v_hat = v / (1 - gamma**t)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            # the weight masses are 1 - beta**t summed step by step, so they
+            # differ from the closed form by rounding only; atol covers
+            # subnormal moments
+            np.testing.assert_allclose(
+                step, -a * m_hat / (np.sqrt(v_hat) + delta), rtol=1e-9, atol=1e-300
+            )
+
+    check()
+
+
 def test_adam_constant_gradient_renormalizes_exactly():
     # m_hat = g and v_hat = g**2 at every step, even with decaying beta_t
     g = np.array([2.0, -0.5])

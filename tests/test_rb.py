@@ -260,6 +260,25 @@ def test_batched_run_rb_matches_sequence_loop(shots):
     check()
 
 
+@pytest.mark.parametrize("shots", [0, 50])
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize(
+    "lengths", [(1, 3, 7, 11), (1,), (0, 0), (9, 2, 9, 0, 5)],
+    ids=["odd", "lone-1", "all-zero", "repeated-unsorted"],
+)
+def test_pair_stepping_matches_sequence_loop(lengths, interleaved, n_levels, shots):
+    # run_rb applies two Cliffords per product and pads a sequence past its
+    # own length with the identity; the loop applies one Clifford at a time
+    gate = noisy_x90(n_levels, 0.1, seed=n_levels)
+    seed = 100 * n_levels + len(lengths)
+    data = run_rb(gate, lengths, 3, shots=shots, seed=seed, interleaved=interleaved)
+    expected = loop_run_rb(gate, lengths, 3, shots=shots, seed=seed,
+                           interleaved=interleaved)
+    np.testing.assert_array_equal(data.lengths, lengths)
+    np.testing.assert_allclose(data.survival, expected, rtol=0.0, atol=1e-12)
+
+
 # -------------------------------------------------------- fixture benchmark
 
 FIXTURE_LENGTHS = (0, 1, 2, 3, 4, 5, 6, 8, 11, 14, 19, 25, 32, 42, 55, 72,
@@ -450,8 +469,18 @@ def _least_squares_reference(lengths, survival, max_nfev=20000):
     )
 
 
+def _rank_deficient_decays():
+    """Ladders of repeated lengths: the Jacobian has rank 1 (one length,
+    so the amplitude and offset columns are proportional) or 2 (two
+    lengths).  The search's scaling rows keep its augmented system full
+    rank, so the solver still takes its full-rank branch."""
+    yield np.array([5.0, 5, 5, 5]), np.array([0.9, 0.91, 0.905, 0.899])
+    yield np.array([0.0, 0, 40, 40]), np.array([1.0, 0.99, 0.8, 0.81])
+
+
 def test_fit_matches_bounded_curve_fit():
-    cases = list(_random_decays(60, seed=7)) + list(_upper_bound_decays(40, seed=11))
+    cases = (list(_random_decays(60, seed=7)) + list(_upper_bound_decays(40, seed=11))
+             + list(_rank_deficient_decays()))
     simulated = list(_simulated_rb(3))
     fits = []
     for lengths, survival in cases + simulated:
