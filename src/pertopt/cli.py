@@ -84,11 +84,7 @@ def _cmd_tuneup(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    section = config.get("schedules", config)
-    if not isinstance(section, dict):
-        raise ConfigError("schedules section must be an object")
-    schedules = parse_schedules(section)
-    report = validate_schedules(schedules)
+    report = validate_schedules(parse_schedules(config.get("schedules", config)))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")

@@ -11,6 +11,8 @@ CSVs to the last digit (floats are serialized via ``repr``).
 from __future__ import annotations
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import logging
@@ -25,19 +27,25 @@ import numpy as np
 
 from .estimators import EstimatorConfig
 from .objectives import (
+    PULSE_LOSSES,
+    SYNTHETIC_OBJECTIVES,
     ObjectiveConfig,
     make_pulse_objective,
     pulse_propagator,
     synthetic_objective,
 )
-from .optimizers import OptimizationAborted, Trajectory, run_optimization
-from .rb import fit_rb_decay, interleaved_gate_fidelity, run_rb, RBFitResult
+from .optimizers import (
+    UPDATE_RULES,
+    OptimizationAborted,
+    Trajectory,
+    TrajectoryRecord,
+    run_optimization,
+)
+from .rb import fit_rb_decay, interleaved_gate_fidelity, rb_ladder, run_rb, RBFitResult
 from .schedules import ScheduleSet
 from .transmon import TransmonParams, average_gate_fidelity, rotation_unitary
 
-PULSE_OBJECTIVES = ("lx", "ly", "l_combined", "l_rb")
-SYNTHETIC_OBJECTIVES = ("sphere", "shifted_quadratic", "cubic")
-# names accepted in config files (normative set)
+# the objectives a config file may name; ly and shifted_quadratic are API-only
 CONFIG_OBJECTIVES = ("lx", "l_combined", "l_rb", "sphere", "cubic")
 
 logger = logging.getLogger(__name__)
@@ -69,13 +77,26 @@ class ExperimentConfig:
         object.__setattr__(
             self, "initial_theta", np.asarray(self.initial_theta, dtype=float)
         )
-        if self.objective not in PULSE_OBJECTIVES + SYNTHETIC_OBJECTIVES:
+        if self.objective not in (*PULSE_LOSSES, *SYNTHETIC_OBJECTIVES):
             raise ConfigError(f"unknown objective {self.objective!r}")
+        if self.update_rule not in UPDATE_RULES:
+            raise ConfigError(
+                f"unknown update rule {self.update_rule!r}, "
+                f"expected one of {UPDATE_RULES}"
+            )
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
-        if self.objective in PULSE_OBJECTIVES:
+        if self.clip_box is not None:
+            box = self.clip_box
+            if np.ndim(box) != 1 or len(box) != 2:
+                raise ConfigError("clip_box must be [low, high]")
+            box = (float(box[0]), float(box[1]))
+            if not box[0] < box[1]:
+                raise ConfigError("clip_box low must be < high")
+            object.__setattr__(self, "clip_box", box)
+        if self.objective in PULSE_LOSSES:
             if self.objective_config is None:
                 raise ConfigError(
                     f"objective {self.objective!r} needs an objective_config"
@@ -111,7 +132,7 @@ class ExperimentResult:
 
 
 def _build_objective(cfg: ExperimentConfig, rng: np.random.Generator):
-    if cfg.objective in PULSE_OBJECTIVES:
+    if cfg.objective in PULSE_LOSSES:
         return make_pulse_objective(cfg.objective, cfg.objective_config, rng)
     return synthetic_objective(
         cfg.objective,
@@ -206,11 +227,12 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
+_CSV_COLUMNS = ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]
+
+
 def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> None:
     dim = traj.initial_theta.size
-    header = ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]
-    header += [f"theta_{i}" for i in range(dim)]
-    rows = [header]
+    rows = [_CSV_COLUMNS + [f"theta_{i}" for i in range(dim)]]
     rows.append(
         [str(run_id), "0", "0", _format_float(traj.initial_loss), "", "", ""]
         + [_format_float(x) for x in traj.initial_theta]
@@ -231,51 +253,33 @@ def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> Non
     _write_atomic(path, _csv_text(rows))
 
 
-@dataclass(frozen=True)
-class TrajectoryFile:
-    """Parsed trajectory CSV (losses keyed by evaluation count)."""
-
-    run_id: int
-    iterations: np.ndarray
-    n_evals: np.ndarray
-    losses: np.ndarray
-    thetas: np.ndarray
-
-
-def read_trajectory_csv(path: str | Path) -> TrajectoryFile:
+def read_trajectory_csv(path: str | Path) -> tuple[int, Trajectory]:
+    """Run id and trajectory of a file written by ``write_trajectory_csv``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:7] != ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]:
+        if next(reader)[:7] != _CSV_COLUMNS:
             raise ValueError(f"unexpected trajectory header in {path}")
         rows = list(reader)
     if not rows:
         raise ValueError(f"trajectory file {path} has no data rows")
-    run_id = int(rows[0][0])
-    iterations = np.array([int(r[1]) for r in rows])
-    n_evals = np.array([int(r[2]) for r in rows])
-    losses = np.array([float(r[3]) for r in rows])
-    thetas = np.array([[float(v) for v in r[7:]] for r in rows])
-    return TrajectoryFile(
-        run_id=run_id,
-        iterations=iterations,
-        n_evals=n_evals,
-        losses=losses,
-        thetas=thetas,
+    first, *updates = rows
+    traj = Trajectory(
+        initial_theta=np.array([float(v) for v in first[7:]]),
+        initial_loss=float(first[3]),
     )
-
-
-def _summarize(grid: np.ndarray, losses: np.ndarray) -> list[SummaryRecord]:
-    n_runs = losses.shape[0]
-    return [
-        SummaryRecord(
-            n_evals=int(grid[j]),
-            loss_mean=float(np.mean(losses[:, j])),
-            loss_std=float(np.std(losses[:, j])),
-            n_runs=n_runs,
+    for row in updates:
+        traj.records.append(
+            TrajectoryRecord(
+                iteration=int(row[1]),
+                n_evals=int(row[2]),
+                loss=float(row[3]),
+                a_t=float(row[4]),
+                c_t=float(row[5]),
+                beta_t=float(row[6]),
+                theta=np.array([float(v) for v in row[7:]]),
+            )
         )
-        for j in range(grid.size)
-    ]
+    return int(first[0]), traj
 
 
 def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRecord]:
@@ -290,50 +294,26 @@ def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRe
     losses = np.array(
         [[t.initial_loss] + [rec.loss for rec in t.records] for t in trajectories]
     )
-    return _summarize(grids[0], losses)
-
-
-def summarize_csv_files(paths: Sequence[str | Path]) -> list[SummaryRecord]:
-    """Recompute the summary from persisted trajectory files."""
-    files = [read_trajectory_csv(p) for p in paths]
-    grids = [f.n_evals for f in files]
-    if any(g.shape != grids[0].shape or np.any(g != grids[0]) for g in grids[1:]):
-        raise ValueError("trajectory files have misaligned evaluation grids")
-    losses = np.array([f.losses for f in files])
-    return _summarize(grids[0], losses)
+    return [
+        SummaryRecord(
+            n_evals=int(n),
+            loss_mean=float(np.mean(losses[:, j])),
+            loss_std=float(np.std(losses[:, j])),
+            n_runs=len(trajectories),
+        )
+        for j, n in enumerate(grids[0])
+    ]
 
 
 def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> None:
     """Atomic write (temp file + rename) of summary JSON lines."""
-    lines = [
-        json.dumps(
-            {
-                "n_evals": r.n_evals,
-                "loss_mean": r.loss_mean,
-                "loss_std": r.loss_std,
-                "n_runs": r.n_runs,
-            }
-        )
-        for r in records
-    ]
+    lines = [json.dumps(dataclasses.asdict(r)) for r in records]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_summary_jsonl(path: str | Path) -> list[SummaryRecord]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        records.append(
-            SummaryRecord(
-                n_evals=d["n_evals"],
-                loss_mean=d["loss_mean"],
-                loss_std=d["loss_std"],
-                n_runs=d["n_runs"],
-            )
-        )
-    return records
+    lines = Path(path).read_text().splitlines()
+    return [SummaryRecord(**json.loads(line)) for line in lines if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -349,7 +329,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values_1", np.asarray(self.values_1, dtype=float))
         object.__setattr__(self, "values_2", np.asarray(self.values_2, dtype=float))
-        if self.objective not in PULSE_OBJECTIVES:
+        if self.objective not in PULSE_LOSSES:
             raise ConfigError(f"scan objective must be a pulse loss, got {self.objective!r}")
         if (
             self.objective_config.active_dims is None
@@ -402,6 +382,11 @@ class FinalRBConfig:
     shots: int = 0
     seed: int = 2024
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lengths", rb_ladder(self.lengths, self.n_sequences))
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots}")
+
 
 @dataclass
 class TuneupResult:
@@ -427,7 +412,7 @@ def two_stage_tuneup(
     RB (fidelity from the decay ratio) next to the direct propagator
     fidelity oracle.  Stage trajectories are persisted even on failure.
     """
-    if rough_cfg.objective not in PULSE_OBJECTIVES:
+    if rough_cfg.objective not in PULSE_LOSSES:
         raise ConfigError("rough stage must use a pulse objective")
     if fine_cfg.objective != "l_rb" or fine_cfg.objective_config is None:
         raise ConfigError("fine stage must use the l_rb pulse objective")
@@ -473,25 +458,19 @@ def assess_gate(
 ) -> tuple[RBFitResult, RBFitResult, float, float]:
     """Reference + interleaved RB of the pulse at ``theta`` vs the direct oracle."""
     u = pulse_propagator(objective_config.pulse_from_theta(theta), objective_config)
-    root = np.random.SeedSequence(final_rb.seed)
-    ref_seq, int_seq = root.spawn(2)
-    ref = run_rb(
-        u,
-        final_rb.lengths,
-        n_sequences=final_rb.n_sequences,
-        shots=final_rb.shots,
-        seed=np.random.default_rng(ref_seq),
-    )
-    reference_fit = fit_rb_decay(ref.lengths, ref.survival)
-    inter = run_rb(
-        u,
-        final_rb.lengths,
-        n_sequences=final_rb.n_sequences,
-        shots=final_rb.shots,
-        seed=np.random.default_rng(int_seq),
-        interleaved=True,
-    )
-    interleaved_fit = fit_rb_decay(inter.lengths, inter.survival)
+    fits = []
+    streams = np.random.SeedSequence(final_rb.seed).spawn(2)
+    for interleaved, stream in zip((False, True), streams):
+        data = run_rb(
+            u,
+            final_rb.lengths,
+            n_sequences=final_rb.n_sequences,
+            shots=final_rb.shots,
+            seed=np.random.default_rng(stream),
+            interleaved=interleaved,
+        )
+        fits.append(fit_rb_decay(data.lengths, data.survival))
+    reference_fit, interleaved_fit = fits
     fidelity = interleaved_gate_fidelity(
         reference_fit.decay_rate, interleaved_fit.decay_rate
     )
@@ -527,94 +506,77 @@ def _write_tuneup_json(path: Path, result: TuneupResult) -> None:
 
 # ---------------------------------------------------------------------------
 # config-file parsing
+#
+# A section's keys are the fields of the dataclass it builds, spelled as in
+# the maps below where the two differ; a key left out takes the field's
+# default.
+
+_SCHEDULE_KEYS = {"lambda": "lam"}
+_ESTIMATOR_KEYS = {"estimator": "method"}
+_PULSE_KEYS = {"duration_ns": "duration", "dt_ns": "dt", "distortion_fir": "distortion"}
+_OPTIMIZER_KEYS = {"budget_evaluations": "budget", "seed": "base_seed"}
+# a pulse objective's device keys are the arguments of TransmonParams.from_mhz
+_DEVICE_KEYS = tuple(inspect.signature(TransmonParams.from_mhz).parameters)
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _require_keys(section, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _build(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, reporting a bad value as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _from_section(cls, section, where: str, rename=None, **fixed):
+    """Build ``cls`` from a config section keyed by its field names.
+
+    ``rename`` maps config spellings to field names; the ``fixed`` fields
+    come from the caller, not from the section.
+    """
+    rename = rename or {}
+    spelling = {name: key for key, name in rename.items()}
+    fields = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+    _require_keys(section, [spelling.get(name, name) for name in fields], where)
+    kwargs = {rename.get(key, key): value for key, value in section.items()}
+    return _build(cls, where, **kwargs, **fixed)
+
+
 def parse_schedules(section: dict) -> ScheduleSet:
-    allowed = {
-        "a0", "alpha", "c0", "zeta", "beta0", "lambda", "gamma", "delta",
-        "truncation_step",
-    }
-    _require_keys(section, allowed, "schedules")
-    kwargs = {k: v for k, v in section.items() if k != "lambda"}
-    if "lambda" in section:
-        kwargs["lam"] = section["lambda"]
-    try:
-        return ScheduleSet(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid schedules: {exc}") from exc
+    return _from_section(ScheduleSet, section, "schedules", _SCHEDULE_KEYS)
 
 
-def _parse_estimator(section: dict) -> EstimatorConfig:
-    allowed = {"estimator", "n_samples", "count_baseline"}
-    _require_keys(section, allowed, "estimator")
-    try:
-        return EstimatorConfig(
-            method=section.get("estimator", "spsa"),
-            n_samples=section.get("n_samples", 1),
-            count_baseline=section.get("count_baseline", False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid estimator: {exc}") from exc
-
-
-def _parse_objective(section: dict) -> dict:
-    """Returns kwargs for ExperimentConfig: objective name + configs."""
+def _parse_objective(section) -> tuple[dict, int | None]:
+    """ExperimentConfig's objective arguments, and the dimension if known."""
+    if not isinstance(section, dict):
+        raise ConfigError("objective must be an object")
     if "objective" not in section:
         raise ConfigError("objective section needs an 'objective' name")
-    name = section["objective"]
+    rest = dict(section)
+    name = rest.pop("objective")
     if name not in CONFIG_OBJECTIVES:
         raise ConfigError(
             f"objective must be one of {CONFIG_OBJECTIVES}, got {name!r}"
         )
-    if name in PULSE_OBJECTIVES:
-        allowed = {
-            "objective", "n_levels", "anharmonicity_mhz", "drive_scale_mhz",
-            "duration_ns", "dt_ns", "n_basis", "k_list", "shots",
-            "active_dims", "distortion_fir", "rb_lengths", "rb_sequences",
-        }
-        _require_keys(section, allowed, "objective")
-        try:
-            transmon = TransmonParams.from_mhz(
-                anharmonicity_mhz=section.get("anharmonicity_mhz", 320.0),
-                drive_scale_mhz=section.get("drive_scale_mhz", 25.0),
-                n_levels=section.get("n_levels", 3),
-            )
-            kwargs = dict(transmon=transmon)
-            if "duration_ns" in section:
-                kwargs["duration"] = section["duration_ns"]
-            if "dt_ns" in section:
-                kwargs["dt"] = section["dt_ns"]
-            if "n_basis" in section:
-                kwargs["n_basis"] = section["n_basis"]
-            if "k_list" in section:
-                kwargs["k_list"] = tuple(section["k_list"])
-            if "shots" in section:
-                kwargs["shots"] = section["shots"]
-            if section.get("active_dims") is not None:
-                kwargs["active_dims"] = tuple(section["active_dims"])
-            if section.get("distortion_fir") is not None:
-                kwargs["distortion"] = tuple(section["distortion_fir"])
-            if "rb_lengths" in section:
-                kwargs["rb_lengths"] = tuple(section["rb_lengths"])
-            if "rb_sequences" in section:
-                kwargs["rb_sequences"] = section["rb_sequences"]
-            objective_config = ObjectiveConfig(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid objective config: {exc}") from exc
-        return {"objective": name, "objective_config": objective_config}
-    allowed = {"objective", "noise_sigma", "shift", "dimension"}
-    _require_keys(section, allowed, "objective")
-    return {
-        "objective": name,
-        "noise_sigma": section.get("noise_sigma", 0.0),
-        "shift": section.get("shift", 0.5),
-    }
+    if name in PULSE_LOSSES:
+        device = {key: rest.pop(key) for key in _DEVICE_KEYS if key in rest}
+        transmon = _build(TransmonParams.from_mhz, "objective", **device)
+        cfg = _from_section(
+            ObjectiveConfig, rest, "objective", _PULSE_KEYS, transmon=transmon
+        )
+        return {"objective": name, "objective_config": cfg}, cfg.dim
+    _require_keys(rest, ("noise_sigma", "shift", "dimension"), "objective")
+    dim = rest.pop("dimension", None)
+    return {"objective": name, **rest}, dim
 
 
 def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
@@ -625,124 +587,89 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("initial_theta must be a list or a {kind: ...} object")
     kind = spec["kind"]
-    if kind == "values":
-        theta = np.asarray(spec.get("values", []), dtype=float)
-        if theta.ndim != 1 or theta.size < 1:
-            raise ConfigError("initial_theta values must be a non-empty list")
-        return theta
-    if dim is None:
+    if kind not in ("values", "zeros", "random_uniform"):
+        raise ConfigError(f"unknown initial_theta kind {kind!r}")
+    if kind != "values" and dim is None:
         raise ConfigError(
             "synthetic objectives need a 'dimension' key or explicit "
             "initial_theta values"
         )
-    if kind == "zeros":
-        return np.zeros(dim)
-    if kind == "random_uniform":
-        low = spec.get("low", -0.5)
-        high = spec.get("high", 0.5)
-        seed = spec.get("seed", 0)
-        # drawn once here so every algorithm/repeat shares the same point
-        return np.random.default_rng(seed).uniform(low, high, size=dim)
-    raise ConfigError(f"unknown initial_theta kind {kind!r}")
+    try:
+        if kind == "values":
+            theta = np.asarray(spec.get("values", []), dtype=float)
+        elif kind == "zeros":
+            theta = np.zeros(dim)
+        else:
+            # drawn once here so every algorithm/repeat shares the same point
+            rng = np.random.default_rng(spec.get("seed", 0))
+            theta = rng.uniform(spec.get("low", -0.5), spec.get("high", 0.5), size=dim)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid initial_theta: {exc}") from exc
+    if theta.ndim != 1 or theta.size < 1:
+        raise ConfigError("initial_theta values must be a non-empty list")
+    return theta
 
 
 def experiment_config_from_dict(config: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed config mapping."""
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    allowed = {
+    allowed = (
         "name", "repeats", "objective", "estimator", "optimizer",
         "schedules", "initial_theta",
-    }
+    )
     _require_keys(config, allowed, "config")
     for required in ("objective", "optimizer", "schedules"):
         if required not in config:
             raise ConfigError(f"config is missing the {required!r} section")
-
-    objective_kwargs = _parse_objective(config["objective"])
-    estimator = _parse_estimator(config.get("estimator", {}))
-    schedules = parse_schedules(config["schedules"])
-
+    objective, dim = _parse_objective(config["objective"])
     optimizer = config["optimizer"]
-    allowed_opt = {"update_rule", "budget_evaluations", "seed", "clip_box"}
-    _require_keys(optimizer, allowed_opt, "optimizer")
-    update_rule = optimizer.get("update_rule", "adam")
-    budget = optimizer.get("budget_evaluations", 0)
-    base_seed = optimizer.get("seed", 0)
-    clip_box = optimizer.get("clip_box")
-    if clip_box is not None:
-        if not isinstance(clip_box, (list, tuple)) or len(clip_box) != 2:
-            raise ConfigError("clip_box must be [low, high]")
-        clip_box = (float(clip_box[0]), float(clip_box[1]))
-        if clip_box[0] >= clip_box[1]:
-            raise ConfigError("clip_box low must be < high")
+    _require_keys(optimizer, ("update_rule", "clip_box", *_OPTIMIZER_KEYS), "optimizer")
+    kwargs = {"name": "experiment", "update_rule": "adam", "budget": 0}
+    kwargs.update((key, config[key]) for key in ("name", "repeats") if key in config)
+    kwargs.update((_OPTIMIZER_KEYS.get(key, key), v) for key, v in optimizer.items())
+    estimator = _from_section(
+        EstimatorConfig, config.get("estimator", {}), "estimator", _ESTIMATOR_KEYS
+    )
+    return _build(
+        ExperimentConfig,
+        "config",
+        estimator=estimator,
+        schedules=parse_schedules(config["schedules"]),
+        initial_theta=_parse_initial_theta(config.get("initial_theta"), dim),
+        **objective,
+        **kwargs,
+    )
 
-    if objective_kwargs["objective"] in PULSE_OBJECTIVES:
-        dim = objective_kwargs["objective_config"].dim
-    else:
-        dim = config["objective"].get("dimension")
-    initial_theta = _parse_initial_theta(config.get("initial_theta"), dim)
 
+def _scan_values(values, which: str):
+    """A ``{start, stop, num}`` range as its values; anything else as is."""
+    if not isinstance(values, dict):
+        return values
+    _require_keys(values, ("start", "stop", "num"), f"scan {which}")
+    if len(values) != 3:
+        raise ConfigError(f"scan {which} range needs start, stop and num")
     try:
-        return ExperimentConfig(
-            name=config.get("name", "experiment"),
-            estimator=estimator,
-            update_rule=update_rule,
-            schedules=schedules,
-            budget=budget,
-            initial_theta=initial_theta,
-            repeats=config.get("repeats", 1),
-            base_seed=base_seed,
-            clip_box=clip_box,
-            **objective_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return np.linspace(values["start"], values["stop"], int(values["num"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid scan {which}: {exc}") from exc
 
 
 def scan_config_from_dict(config: dict) -> ScanConfig:
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    allowed = {"objective", "scan", "name"}
-    _require_keys(config, allowed, "config")
+    _require_keys(config, ("objective", "scan", "name"), "config")
     if "objective" not in config or "scan" not in config:
         raise ConfigError("scan config needs 'objective' and 'scan' sections")
-    objective_kwargs = _parse_objective(config["objective"])
-    if objective_kwargs["objective"] not in PULSE_OBJECTIVES:
+    objective, _ = _parse_objective(config["objective"])
+    if objective["objective"] not in PULSE_LOSSES:
         raise ConfigError("scan objective must be a pulse loss")
     scan = config["scan"]
-    allowed_scan = {"values_1", "values_2", "max_cells"}
-    _require_keys(scan, allowed_scan, "scan")
-
-    def resolve(values, which: str) -> np.ndarray:
-        if isinstance(values, dict):
-            extra = set(values) - {"start", "stop", "num"}
-            if extra:
-                raise ConfigError(f"unknown keys in scan {which}: {sorted(extra)}")
-            return np.linspace(values["start"], values["stop"], int(values["num"]))
-        if isinstance(values, (list, tuple)):
-            return np.asarray(values, dtype=float)
-        raise ConfigError(f"scan {which} must be a list or start/stop/num object")
-
-    try:
-        return ScanConfig(
-            objective=objective_kwargs["objective"],
-            objective_config=objective_kwargs["objective_config"],
-            values_1=resolve(scan.get("values_1"), "values_1"),
-            values_2=resolve(scan.get("values_2"), "values_2"),
-            max_cells=scan.get("max_cells", 10000),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if isinstance(scan, dict):
+        scan = {key: _scan_values(value, key) for key, value in scan.items()}
+    return _from_section(ScanConfig, scan, "scan", **objective)
 
 
 def tuneup_configs_from_dict(
     config: dict,
 ) -> tuple[ExperimentConfig, ExperimentConfig, FinalRBConfig]:
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    allowed = {"rough", "fine", "final_rb", "name"}
-    _require_keys(config, allowed, "config")
+    _require_keys(config, ("rough", "fine", "final_rb", "name"), "config")
     for section in ("rough", "fine"):
         if section not in config:
             raise ConfigError(f"tuneup config needs a {section!r} section")
@@ -750,13 +677,5 @@ def tuneup_configs_from_dict(
     fine = experiment_config_from_dict(config["fine"])
     if fine.objective != "l_rb":
         raise ConfigError("fine stage objective must be l_rb")
-    final = config.get("final_rb", {})
-    allowed_final = {"lengths", "n_sequences", "shots", "seed"}
-    _require_keys(final, allowed_final, "final_rb")
-    final_rb = FinalRBConfig(
-        lengths=tuple(final.get("lengths", FinalRBConfig.lengths)),
-        n_sequences=final.get("n_sequences", FinalRBConfig.n_sequences),
-        shots=final.get("shots", FinalRBConfig.shots),
-        seed=final.get("seed", FinalRBConfig.seed),
-    )
+    final_rb = _from_section(FinalRBConfig, config.get("final_rb", {}), "final_rb")
     return rough, fine, final_rb

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rb import DEFAULT_RB_LENGTHS, fit_rb_decay, run_rb
+from .rb import DEFAULT_RB_LENGTHS, fit_rb_decay, rb_ladder, run_rb
 from .transmon import (
     HannPulseParams,
     TransmonParams,
@@ -69,12 +69,13 @@ class ObjectiveConfig:
                 raise ValueError("active_dims must be non-empty and unique")
             if any(i < 0 or i >= full for i in dims):
                 raise ValueError(f"active_dims entries must lie in [0, {full})")
-        if self.rb_sequences < 1:
-            raise ValueError(f"rb_sequences must be >= 1, got {self.rb_sequences}")
-        lengths = tuple(int(m) for m in self.rb_lengths)
+        if self.distortion is not None:
+            fir = tuple(float(x) for x in self.distortion)
+            object.__setattr__(self, "distortion", fir)
+        lengths = rb_ladder(
+            self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
+        )
         object.__setattr__(self, "rb_lengths", lengths)
-        if len(lengths) < 3 or any(m < 0 for m in lengths):
-            raise ValueError("rb_lengths needs >= 3 non-negative entries")
 
     @property
     def n_repetitions(self) -> int:
@@ -238,7 +239,8 @@ def loss_rb(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     )
 
 
-_PULSE_LOSSES: dict[str, Callable[..., LossValue]] = {
+# pulse losses by name; experiments.py takes its pulse objective names from here
+PULSE_LOSSES: dict[str, Callable[..., LossValue]] = {
     "lx": loss_x,
     "ly": loss_y,
     "l_combined": loss_combined,
@@ -250,11 +252,11 @@ def make_pulse_objective(
     name: str, cfg: ObjectiveConfig, rng=None
 ) -> Callable[[np.ndarray], float]:
     """Wrap a pulse loss as ``f(theta) -> float`` over the active dims."""
-    if name not in _PULSE_LOSSES:
+    if name not in PULSE_LOSSES:
         raise ValueError(
-            f"unknown pulse loss {name!r}, expected one of {tuple(_PULSE_LOSSES)}"
+            f"unknown pulse loss {name!r}, expected one of {tuple(PULSE_LOSSES)}"
         )
-    loss_fn = _PULSE_LOSSES[name]
+    loss_fn = PULSE_LOSSES[name]
     if rng is not None:
         # one persistent stream: successive calls draw fresh shot noise
         # and benchmark sequences deterministically
@@ -266,7 +268,7 @@ def make_pulse_objective(
     return objective
 
 
-_SYNTHETIC_NAMES = ("sphere", "shifted_quadratic", "cubic")
+SYNTHETIC_OBJECTIVES = ("sphere", "shifted_quadratic", "cubic")
 
 
 @dataclass
@@ -310,9 +312,10 @@ def synthetic_objective(
     shift: float = 0.5,
 ) -> SyntheticObjective:
     """Build a sphere / shifted-quadratic / cubic test objective."""
-    if name not in _SYNTHETIC_NAMES:
+    if name not in SYNTHETIC_OBJECTIVES:
         raise ValueError(
-            f"unknown synthetic objective {name!r}, expected one of {_SYNTHETIC_NAMES}"
+            f"unknown synthetic objective {name!r}, "
+            f"expected one of {SYNTHETIC_OBJECTIVES}"
         )
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")

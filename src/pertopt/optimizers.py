@@ -23,7 +23,7 @@ from .estimators import (
 )
 from .schedules import ScheduleSet
 
-_UPDATE_RULES = ("sgd", "momentum", "adam")
+UPDATE_RULES = ("sgd", "momentum", "adam")
 
 
 class OptimizationAborted(RuntimeError):
@@ -197,9 +197,9 @@ def run_optimization(
     objective owns its noise stream.  Identical seeds and objective give a
     bitwise-identical trajectory.
     """
-    if update_rule not in _UPDATE_RULES:
+    if update_rule not in UPDATE_RULES:
         raise ValueError(
-            f"unknown update rule {update_rule!r}, expected one of {_UPDATE_RULES}"
+            f"unknown update rule {update_rule!r}, expected one of {UPDATE_RULES}"
         )
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

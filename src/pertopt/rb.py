@@ -30,6 +30,25 @@ DEFAULT_RB_LENGTHS = (
 )
 
 
+def rb_ladder(
+    lengths, n_sequences: int, lengths_name: str = "lengths",
+    sequences_name: str = "n_sequences",
+) -> tuple[int, ...]:
+    """``lengths`` as a tuple of ints, checked as a ladder a decay fits to.
+
+    The fit needs at least three non-negative lengths and at least one
+    sequence per length; the names label the two settings in errors.
+    """
+    if n_sequences < 1:
+        raise ValueError(f"{sequences_name} must be >= 1, got {n_sequences}")
+    ladder = tuple(int(m) for m in lengths)
+    if len(ladder) < 3 or any(m < 0 for m in ladder):
+        raise ValueError(
+            f"{lengths_name} needs >= 3 non-negative entries, got {ladder}"
+        )
+    return ladder
+
+
 class RBFitError(RuntimeError):
     """Decay fit failed; ``residuals`` holds the misfit where it stopped."""
 

@@ -29,13 +29,14 @@ from pertopt import (
     hann_waveform,
     HannPulseParams,
     read_summary_jsonl,
+    read_trajectory_csv,
     rotation_unitary,
     rsgf_gradient,
     run_experiment,
     run_rb,
     run_single,
     spsa_gradient,
-    summarize_csv_files,
+    summarize_trajectories,
     two_stage_tuneup,
     validate_schedules,
 )
@@ -405,5 +406,7 @@ def test_9_persistence_round_trip(tmp_path):
         assert first.summary_path.read_bytes() == second.summary_path.read_bytes()
 
         # Summary statistics recompute from the CSVs to the last digit.
-        recomputed = summarize_csv_files(first.trajectory_paths)
+        recomputed = summarize_trajectories(
+            [read_trajectory_csv(p)[1] for p in first.trajectory_paths]
+        )
         assert recomputed == read_summary_jsonl(first.summary_path)

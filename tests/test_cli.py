@@ -164,6 +164,67 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_unknown_update_rule_exits_1(tmp_path, capsys):
+    bad = dict(RUN_CONFIG, optimizer={"update_rule": "adamm", "budget_evaluations": 20})
+    config = write_config(tmp_path, bad)
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert "unknown update rule 'adamm'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "final_rb",
+    [
+        {"n_sequences": 0},
+        {"shots": -1},
+        {"lengths": [0, 10]},
+        {"lengths": [0, -5, 10]},
+    ],
+    ids=["no-sequences", "negative-shots", "two-lengths", "negative-length"],
+)
+def test_bad_final_rb_exits_1_before_any_stage(tmp_path, capsys, final_rb):
+    config = write_config(tmp_path, dict(TUNEUP_CONFIG, final_rb=final_rb))
+    out = tmp_path / "tune"
+    assert main(["tuneup", "--config", str(config), "--out", str(out)]) == 1
+    assert "config error: invalid final_rb" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _with(config, path, value):
+    """A deep copy of ``config`` with the entry at ``path`` replaced."""
+    config = json.loads(json.dumps(config))
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", _with(RUN_CONFIG, ["estimator"], [])),
+        ("run", _with(RUN_CONFIG, ["optimizer", "budget_evaluations"], "10")),
+        ("run", _with(RUN_CONFIG, ["repeats"], "2")),
+        ("scan", _with(SCAN_CONFIG, ["objective", "k_list"], 2)),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], {"start": 0.0, "stop": 1.0})),
+        ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "lengths"], 30)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "schedules"], None)),
+    ],
+    ids=[
+        "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
+        "range-without-num", "scalar-final-lengths", "null-section",
+    ],
+)
+def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == 1

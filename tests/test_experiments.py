@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pertopt import (
     run_experiment,
     run_single,
     scan_config_from_dict,
-    summarize_csv_files,
     summarize_trajectories,
     tuneup_configs_from_dict,
     two_stage_tuneup,
@@ -34,7 +34,7 @@ from pertopt import (
     write_summary_jsonl,
     write_trajectory_csv,
 )
-from pertopt.optimizers import OptimizationAborted, Trajectory
+from pertopt.optimizers import OptimizationAborted, Trajectory, TrajectoryRecord
 import pertopt.experiments as experiments
 
 TWO_LEVEL = TransmonParams(n_levels=2)
@@ -118,17 +118,55 @@ def test_trajectory_csv_round_trip(tmp_path):
     traj = run_single(cfg, 0)
     path = tmp_path / "t.csv"
     write_trajectory_csv(path, 4, traj)
-    back = read_trajectory_csv(path)
+    run_id, back = read_trajectory_csv(path)
 
-    assert back.run_id == 4
-    assert back.iterations[0] == 0 and back.n_evals[0] == 0
-    assert back.losses[0] == traj.initial_loss
-    np.testing.assert_array_equal(back.thetas[0], traj.initial_theta)
-    for row, rec in zip(range(1, back.iterations.size), traj.records):
-        assert back.iterations[row] == rec.iteration
-        assert back.n_evals[row] == rec.n_evals
-        assert back.losses[row] == rec.loss
-        np.testing.assert_array_equal(back.thetas[row], rec.theta)
+    assert run_id == 4
+    # the initial point is the file's iteration-0 row, at 0 evaluations
+    assert path.read_text().splitlines()[1].startswith("4,0,0,")
+    assert back.initial_loss == traj.initial_loss
+    np.testing.assert_array_equal(back.initial_theta, traj.initial_theta)
+    assert len(back.records) == len(traj.records)
+    for got, rec in zip(back.records, traj.records):
+        assert got.iteration == rec.iteration
+        assert got.n_evals == rec.n_evals
+        assert got.loss == rec.loss
+        assert (got.a_t, got.c_t, got.beta_t) == (rec.a_t, rec.c_t, rec.beta_t)
+        np.testing.assert_array_equal(got.theta, rec.theta)
+
+
+def test_trajectory_csv_rewrites_byte_identical(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+
+    @st.composite
+    def trajectories(draw):
+        dim = draw(st.integers(1, 4))
+        vectors = st.lists(floats, min_size=dim, max_size=dim).map(np.array)
+        records = [
+            TrajectoryRecord(
+                iteration=t,
+                n_evals=draw(st.integers(0, 10**6)),
+                loss=draw(floats),
+                a_t=draw(floats),
+                c_t=draw(floats),
+                beta_t=draw(floats),
+                theta=draw(vectors),
+            )
+            for t in range(1, draw(st.integers(0, 5)) + 1)
+        ]
+        return Trajectory(draw(vectors), draw(floats), records)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(run_id=st.integers(0, 10**6), traj=trajectories())
+    def check(run_id, traj):
+        # CSV -> Trajectory -> CSV
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_trajectory_csv(first, run_id, traj)
+        write_trajectory_csv(second, *read_trajectory_csv(first))
+        assert second.read_bytes() == first.read_bytes()
+
+    check()
 
 
 class _HalfWrittenFile:
@@ -203,7 +241,8 @@ def test_repeats_use_distinct_streams(tmp_path):
 
 def test_summary_recomputes_from_csv_files(tmp_path):
     result = run_experiment(sphere_config(), tmp_path)
-    assert summarize_csv_files(result.trajectory_paths) == result.summary
+    read_back = [read_trajectory_csv(p)[1] for p in result.trajectory_paths]
+    assert summarize_trajectories(read_back) == result.summary
     assert read_summary_jsonl(result.summary_path) == result.summary
     grid = [rec.n_evals for rec in result.summary]
     assert grid[0] == 0 and grid == sorted(grid)
@@ -521,6 +560,44 @@ def test_config_dict_validation():
         experiment_config_from_dict(bad)
     with pytest.raises(ConfigError, match="invalid schedules"):
         experiment_config_from_dict(synthetic_dict(schedules={"a0": -1.0}))
+
+
+def test_list_fields_become_tuples():
+    cfg = ObjectiveConfig(
+        k_list=[1, 2], active_dims=[0, 10], distortion=[1, 0.5], rb_lengths=[0, 1, 2]
+    )
+    assert cfg.k_list == (1, 2) and cfg.active_dims == (0, 10)
+    assert cfg.distortion == (1.0, 0.5) and cfg.rb_lengths == (0, 1, 2)
+    hash(cfg)  # frozen and hashable once every list is a tuple
+    assert FinalRBConfig(lengths=[0, 5, 9]).lengths == (0, 5, 9)
+
+
+def test_final_rb_config_validation():
+    with pytest.raises(ValueError, match="n_sequences"):
+        FinalRBConfig(n_sequences=0)
+    with pytest.raises(ValueError, match="shots"):
+        FinalRBConfig(shots=-1)
+    for lengths in ([0, 10], [0, -1, 10]):
+        with pytest.raises(ValueError, match="lengths"):
+            FinalRBConfig(lengths=lengths)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_example(heading):
+    """The first JSON block under the README's ``### heading``."""
+    section = README.read_text().split(f"\n### {heading}\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_examples_parse():
+    run = experiment_config_from_dict(_readme_example("run"))
+    assert (run.name, run.objective, run.repeats) == ("demo", "lx", 5)
+    assert run.schedules.lam == 0.4 and run.budget == 480
+    scan = scan_config_from_dict(_readme_example("scan"))
+    assert scan.objective_config.active_dims == (0, 10)
+    assert scan.values_1.size == scan.values_2.size == 41
 
 
 def test_initial_theta_kinds():

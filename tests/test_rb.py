@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import curve_fit, least_squares
+from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.optimize._numdiff import approx_derivative
 
+import pertopt._trf as _trf
 import pertopt.rb as rb_module
 from pertopt import (
     FinalRBConfig,
@@ -519,6 +521,27 @@ def test_fit_jacobian_is_scipys_forward_difference():
             fun, x, method="2-point", f0=fun(x), bounds=rb_module._FIT_BOUNDS
         )
         np.testing.assert_array_equal(jacobian(x), expected)
+
+
+@pytest.mark.parametrize("ratio", [0.8, 1.0, 1.25])
+def test_trust_region_rank_threshold_matches_scipy(ratio):
+    # The fit's data never lands near the rank threshold eps * m * s[0]
+    # (the augmented system is exactly singular or far from it), so the
+    # threshold is pinned here with a smallest singular value just below,
+    # at and just above it.  Gauss-Newton is taken only above: it returns
+    # alpha = 0; below or at the threshold the step is regularized.
+    n, m = 3, 5
+    threshold = np.finfo(float).eps * m * 1.0
+    s = np.array([1.0, 0.5, ratio * threshold])
+    uf = np.array([0.3, -0.2, 0.0])
+    V = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0]
+    step, alpha = _trf._solve_lsq_trust_region(n, m, uf, s, V, 10.0, 0.0)
+    expected_step, expected_alpha, _ = solve_lsq_trust_region(
+        n, m, uf, s, V, 10.0, initial_alpha=0.0
+    )
+    np.testing.assert_array_equal(step, expected_step)
+    assert alpha == expected_alpha
+    assert (alpha == 0.0) == (ratio > 1.0)
 
 
 def test_fit_reads_near_perfect_gate_on_short_ladder():
