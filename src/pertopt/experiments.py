@@ -17,6 +17,7 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -594,6 +595,12 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
             "synthetic objectives need a 'dimension' key or explicit "
             "initial_theta values"
         )
+    seed = spec.get("seed", 0)
+    if kind == "random_uniform" and (
+        isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+    ):
+        # a null seed would draw from OS entropy: the run could not be repeated
+        raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
     try:
         if kind == "values":
             theta = np.asarray(spec.get("values", []), dtype=float)
@@ -601,7 +608,7 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
             theta = np.zeros(dim)
         else:
             # drawn once here so every algorithm/repeat shares the same point
-            rng = np.random.default_rng(spec.get("seed", 0))
+            rng = np.random.default_rng(seed)
             theta = rng.uniform(spec.get("low", -0.5), spec.get("high", 0.5), size=dim)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial_theta: {exc}") from exc

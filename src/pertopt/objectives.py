@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -20,11 +21,14 @@ import numpy as np
 from .rb import DEFAULT_RB_LENGTHS, fit_rb_decay, rb_ladder, run_rb
 from .transmon import (
     HannPulseParams,
+    PulseSequence,
     TransmonParams,
     embed_qubit_gate,
     evolve,
     hann_waveform,
-    measure_population,
+    hann_windows,
+    level_frequencies,
+    measure_population,  # unused here; bench/tracing.py wraps this lookup site
     rotation_unitary,
 )
 
@@ -33,10 +37,12 @@ from .transmon import (
 class ObjectiveConfig:
     """Everything a pulse loss needs besides the pulse coefficients.
 
-    ``active_dims`` restricts optimization to a subset of the flat
-    ``(A, B)`` vector; inactive coefficients are fixed at zero.  ``k_list``
-    must be strictly increasing positive repetition counts; the loss is
-    normalized by its length.
+    ``duration`` and ``dt`` must be finite numbers > 0, and ``duration /
+    dt`` a whole number of segments.  ``active_dims`` restricts
+    optimization to a subset of the flat ``(A, B)`` vector; inactive
+    coefficients are fixed at zero.  ``k_list`` must be strictly
+    increasing positive repetition counts; the loss is normalized by its
+    length.
     """
 
     transmon: TransmonParams = TransmonParams()
@@ -53,6 +59,14 @@ class ObjectiveConfig:
     def __post_init__(self) -> None:
         if self.n_basis < 1:
             raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
+        for name in ("duration", "dt"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        if self.dt > self.duration:
+            raise ValueError("dt must not exceed the pulse duration")
+        # raises unless dt divides the duration into whole segments
+        hann_windows(self.n_basis, self.duration, self.dt)
         ks = tuple(int(k) for k in self.k_list)
         object.__setattr__(self, "k_list", ks)
         if len(ks) < 1 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -140,24 +154,6 @@ def _rng_for_shots(shots: int, rng) -> np.random.Generator | None:
     return np.random.default_rng(rng)
 
 
-def _excited_populations(
-    u: np.ndarray,
-    psi_ref: np.ndarray,
-    cfg: ObjectiveConfig,
-    rng: np.random.Generator | None,
-) -> list[float]:
-    # each k is a separately prepared circuit; measurement noise is fresh
-    pops = []
-    psi = psi_ref
-    k_prev = 0
-    for k in cfg.k_list:
-        for _ in range(k - k_prev):
-            psi = u @ psi
-        k_prev = k
-        pops.append(measure_population(psi, cfg.shots, rng).excited)
-    return pops
-
-
 def ideal_excited_after_x90s(k: int) -> float:
     """Excited population after (k+1) perfect X90 gates from the ground state.
 
@@ -171,43 +167,71 @@ def ideal_excited_after_x90s(k: int) -> float:
     return 0.5
 
 
-def _loss_x_from_propagator(
-    u: np.ndarray, cfg: ObjectiveConfig, rng: np.random.Generator | None
-) -> float:
-    psi_ref = _prepared_state("x", cfg.transmon.n_levels)
-    pops = _excited_populations(u, psi_ref, cfg, rng)
-    return sum(
-        abs(ideal_excited_after_x90s(k) - p) for k, p in zip(cfg.k_list, pops)
-    ) / len(cfg.k_list)
-
-
-def _loss_y_from_propagator(
-    u: np.ndarray, cfg: ObjectiveConfig, rng: np.random.Generator | None
-) -> float:
-    psi_ref = _prepared_state("y", cfg.transmon.n_levels)
-    pops = _excited_populations(u, psi_ref, cfg, rng)
+def _readouts(name: str, cfg: ObjectiveConfig) -> tuple:
+    """Prepared state and ideal excited population per k of each readout."""
+    n_levels, ks = cfg.transmon.n_levels, cfg.k_list
+    x = (_prepared_state("x", n_levels), tuple(ideal_excited_after_x90s(k) for k in ks))
     # +y-prepared state: any x-rotation count leaves the ideal population at 1/2
-    return sum(abs(0.5 - p) for p in pops) / len(cfg.k_list)
+    y = (_prepared_state("y", n_levels), (0.5,) * len(ks))
+    return {"lx": (x,), "ly": (y,), "l_combined": (x, y)}[name]
+
+
+def _population_losses(
+    u: np.ndarray,
+    readouts,
+    cfg: ObjectiveConfig,
+    rng: np.random.Generator | None,
+) -> list[float]:
+    """Mean absolute excited-population error of each readout of ``u``."""
+    losses = []
+    for psi, targets in readouts:
+        # each k is a separately prepared circuit; measurement noise is fresh
+        error, k_prev = 0.0, 0
+        for k, target in zip(cfg.k_list, targets):
+            for _ in range(k - k_prev):
+                psi = u @ psi
+            k_prev = k
+            excited = level_frequencies(np.abs(psi) ** 2, cfg.shots, rng)[1]
+            error += abs(target - float(excited))
+        losses.append(error / len(targets))
+    return losses
+
+
+def _rb_loss(
+    u: np.ndarray, cfg: ObjectiveConfig, rng: np.random.Generator
+) -> tuple[float, float]:
+    """``l_rb`` of the propagator ``u`` and the fitted decay it came from."""
+    data = run_rb(
+        u,
+        cfg.rb_lengths,
+        n_sequences=cfg.rb_sequences,
+        shots=cfg.shots,
+        seed=rng,
+    )
+    decay = fit_rb_decay(data.lengths, data.survival).decay_rate
+    return max(0.0, (1.0 - decay) * 100.0), decay
+
+
+def _readout_losses(
+    name: str, ab: HannPulseParams, cfg: ObjectiveConfig, rng
+) -> list[float]:
+    rng = _rng_for_shots(cfg.shots, rng)
+    return _population_losses(pulse_propagator(ab, cfg), _readouts(name, cfg), cfg, rng)
 
 
 def loss_x(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Mean absolute population error against repeated-X90 targets (+x prep)."""
-    rng = _rng_for_shots(cfg.shots, rng)
-    return LossValue(value=_loss_x_from_propagator(pulse_propagator(ab, cfg), cfg, rng))
+    return LossValue(value=_readout_losses("lx", ab, cfg, rng)[0])
 
 
 def loss_y(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Mean absolute population error against the constant 1/2 target (+y prep)."""
-    rng = _rng_for_shots(cfg.shots, rng)
-    return LossValue(value=_loss_y_from_propagator(pulse_propagator(ab, cfg), cfg, rng))
+    return LossValue(value=_readout_losses("ly", ab, cfg, rng)[0])
 
 
 def loss_combined(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """Average of the x and y losses on one simulated propagator."""
-    rng = _rng_for_shots(cfg.shots, rng)
-    u = pulse_propagator(ab, cfg)
-    lx = _loss_x_from_propagator(u, cfg, rng)
-    ly = _loss_y_from_propagator(u, cfg, rng)
+    lx, ly = _readout_losses("l_combined", ab, cfg, rng)
     return LossValue(
         value=(lx + ly) / 2.0, components={"loss_x": lx, "loss_y": ly}
     )
@@ -223,20 +247,8 @@ def loss_rb(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     """
     if rng is None:
         raise ValueError("loss_rb requires an rng for Clifford sequence sampling")
-    rng = np.random.default_rng(rng)
-    u = pulse_propagator(ab, cfg)
-    data = run_rb(
-        u,
-        cfg.rb_lengths,
-        n_sequences=cfg.rb_sequences,
-        shots=cfg.shots,
-        seed=rng,
-    )
-    fit = fit_rb_decay(data.lengths, data.survival)
-    raw = (1.0 - fit.decay_rate) * 100.0
-    return LossValue(
-        value=max(0.0, raw), components={"decay_rate": fit.decay_rate}
-    )
+    value, decay = _rb_loss(pulse_propagator(ab, cfg), cfg, np.random.default_rng(rng))
+    return LossValue(value=value, components={"decay_rate": decay})
 
 
 # pulse losses by name; experiments.py takes its pulse objective names from here
@@ -251,19 +263,58 @@ PULSE_LOSSES: dict[str, Callable[..., LossValue]] = {
 def make_pulse_objective(
     name: str, cfg: ObjectiveConfig, rng=None
 ) -> Callable[[np.ndarray], float]:
-    """Wrap a pulse loss as ``f(theta) -> float`` over the active dims."""
+    """Wrap a pulse loss as ``f(theta) -> float`` over the active dims.
+
+    ``f(theta)`` equals ``PULSE_LOSSES[name](cfg.pulse_from_theta(theta),
+    cfg, rng).value`` bit for bit, call after call from the same ``rng``.
+    What does not depend on the pulse is done once, here: the rng is
+    resolved into one persistent stream (successive calls draw fresh shot
+    noise and benchmark sequences deterministically), and the Hann windows,
+    the FIR kernel array, the prepared states and the ideal targets per
+    repetition count are built.  ``cfg`` has already checked the pulse
+    geometry and the repetition counts.  Each call then checks ``theta``,
+    samples the pulse with one product per quadrature, calls ``evolve``
+    and, for the population losses, draws once per repetition count from
+    ``|psi|**2``; ``l_rb`` runs RB and fits its decay.  A wrong-length or
+    non-finite ``theta`` raises ``ValueError`` at call time, and so does a
+    loss that needs an rng (shots > 0, or ``l_rb``) when none was given.
+    """
     if name not in PULSE_LOSSES:
         raise ValueError(
             f"unknown pulse loss {name!r}, expected one of {tuple(PULSE_LOSSES)}"
         )
-    loss_fn = PULSE_LOSSES[name]
+    if rng is None and (name == "l_rb" or cfg.shots > 0):
+
+        def missing_rng(theta: np.ndarray) -> float:
+            # the loss raises for the rng it needs, at call time
+            return PULSE_LOSSES[name](cfg.pulse_from_theta(theta), cfg).value
+
+        return missing_rng
     if rng is not None:
-        # one persistent stream: successive calls draw fresh shot noise
-        # and benchmark sequences deterministically
         rng = np.random.default_rng(rng)
+    n, dt, transmon = cfg.n_basis, cfg.dt, cfg.transmon
+    windows = hann_windows(n, cfg.duration, dt)
+    fir = None if cfg.distortion is None else np.array(cfg.distortion)
+
+    def propagator(theta: np.ndarray) -> np.ndarray:
+        coeffs = cfg.expand_theta(theta)
+        # one vector product per quadrature: a (2, n) matrix product rounds
+        # some samples differently in the last bit
+        pulse = PulseSequence(coeffs[:n] @ windows, coeffs[n:] @ windows, dt, fir)
+        return evolve(pulse, transmon)
+
+    if name == "l_rb":
+
+        def objective(theta: np.ndarray) -> float:
+            return _rb_loss(propagator(theta), cfg, rng)[0]
+
+        return objective
+    readouts = _readouts(name, cfg)
 
     def objective(theta: np.ndarray) -> float:
-        return loss_fn(cfg.pulse_from_theta(theta), cfg, rng).value
+        losses = _population_losses(propagator(theta), readouts, cfg, rng)
+        # one readout's loss as is; l_combined's as (lx + ly) / 2
+        return sum(losses) / len(losses)
 
     return objective
 

@@ -77,12 +77,32 @@ def lowering_operator(n_levels: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_levels)), k=1)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_vector(values) -> np.ndarray:
+    """``values`` as a float array of at least one dimension; a 1-D float64
+    array is returned as is."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1:
+        return values
+    return np.atleast_1d(np.asarray(values, dtype=float))
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    # count_nonzero is a plain loop; ndarray.all() runs a ufunc reduction,
+    # about twice as slow on a pulse's few dozen samples
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 @dataclass(frozen=True)
 class PulseSequence:
     """Piecewise-constant I/Q samples, optionally FIR-distorted.
 
     ``distortion`` is a causal FIR kernel applied to both quadratures via
-    full convolution truncated back to the original sample count.
+    full convolution truncated back to the original sample count.  The
+    samples and the kernel are stored as 1-D float64 arrays; one that
+    already is such an array is kept as given, not copied or converted,
+    and every construction checks shapes and finiteness.
     """
 
     i_samples: np.ndarray
@@ -91,20 +111,20 @@ class PulseSequence:
     distortion: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        i_s = np.atleast_1d(np.asarray(self.i_samples, dtype=float))
-        q_s = np.atleast_1d(np.asarray(self.q_samples, dtype=float))
+        i_s = _float_vector(self.i_samples)
+        q_s = _float_vector(self.q_samples)
         object.__setattr__(self, "i_samples", i_s)
         object.__setattr__(self, "q_samples", q_s)
         if i_s.ndim != 1 or q_s.ndim != 1 or i_s.size != q_s.size or i_s.size < 1:
             raise ValueError("I and Q must be 1-D arrays of equal length >= 1")
-        if not (np.all(np.isfinite(i_s)) and np.all(np.isfinite(q_s))):
+        if not (_all_finite(i_s) and _all_finite(q_s)):
             raise ValueError("pulse samples must be finite")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.distortion is not None:
-            fir = np.atleast_1d(np.asarray(self.distortion, dtype=float))
+            fir = _float_vector(self.distortion)
             object.__setattr__(self, "distortion", fir)
-            if fir.ndim != 1 or fir.size < 1 or not np.all(np.isfinite(fir)):
+            if fir.ndim != 1 or fir.size < 1 or not _all_finite(fir):
                 raise ValueError("distortion must be a finite 1-D FIR kernel")
 
     @property
@@ -182,8 +202,11 @@ class HannPulseParams:
 
 
 @lru_cache(maxsize=32)
-def _hann_basis(n_basis: int, duration: float, dt: float) -> np.ndarray:
-    """Read-only ``(n_basis, n_segments)`` windows at the segment midpoints."""
+def hann_windows(n_basis: int, duration: float, dt: float) -> np.ndarray:
+    """Read-only ``(n_basis, n_segments)`` windows at the segment midpoints.
+
+    Raises ``ValueError`` unless ``duration / dt`` is a whole number.
+    """
     ratio = duration / dt
     n_segments = int(round(ratio))
     if n_segments < 1 or abs(ratio - n_segments) > 1e-9:
@@ -202,10 +225,10 @@ def hann_waveform(params: HannPulseParams) -> PulseSequence:
     ``duration / dt`` must be an integer segment count; samples are taken
     at ``t = dt * (k + 1/2)``.
     """
-    basis = _hann_basis(params.n_basis, params.duration, params.dt)
+    windows = hann_windows(params.n_basis, params.duration, params.dt)
     return PulseSequence(
-        i_samples=params.a_coeffs @ basis,
-        q_samples=params.b_coeffs @ basis,
+        i_samples=params.a_coeffs @ windows,
+        q_samples=params.b_coeffs @ windows,
         dt=params.dt,
     )
 
@@ -242,13 +265,11 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
     energies, modes = np.linalg.eigh(
         h_static + np.hypot(i_s, q_s)[:, None, None] * x_drive
     )
-    frame = np.exp(1j * np.outer(np.arctan2(q_s, i_s), levels))
+    frame = np.exp(1j * (np.arctan2(q_s, i_s)[:, None] * levels))
     # D V per segment; V is real, so (D V)^dag = conj(D V)^T
     frame_modes = frame[:, :, None] * modes
     phases = np.exp(-1j * pulse.dt * energies)
-    segments = (frame_modes * phases[:, None, :]) @ np.swapaxes(
-        frame_modes.conj(), -1, -2
-    )
+    segments = (frame_modes * phases[:, None, :]) @ frame_modes.conj().swapaxes(-1, -2)
     while len(segments) > 1:
         paired = len(segments) // 2 * 2
         product = segments[1:paired:2] @ segments[0:paired:2]
@@ -256,7 +277,7 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
             product[-1] = segments[-1] @ product[-1]
         segments = product
     u = segments[0]
-    drift = np.max(np.abs(u.conj().T @ u - eye))
+    drift = np.abs(u.conj().T @ u - eye).max()
     if not drift <= 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.3e} exceeds 1e-8")
     return u
@@ -273,6 +294,26 @@ class PopulationMeasurement(NamedTuple):
     leakage: float
 
 
+def level_frequencies(
+    probs: np.ndarray, shots: int, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Level frequencies of one state's ``|psi|**2``, or of one per column.
+
+    ``probs`` itself at ``shots = 0``, else one multinomial draw per state
+    from the Generator ``rng``, in column order.  Raises ``ValueError`` if
+    a state's norm deviates from 1 by more than 1e-9.
+    """
+    total = probs.sum(axis=0)
+    drift = abs(total - 1.0)
+    if drift.ndim:  # a batch: its worst state (NaN if any state is NaN)
+        drift = drift.max()
+    if not drift <= 1e-9:
+        raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
+    if shots == 0:
+        return probs
+    return rng.multinomial(shots, (probs / total).T).T / shots
+
+
 def measure_population(
     state: np.ndarray,
     shots: int = 0,
@@ -285,30 +326,22 @@ def measure_population(
     row in order.  ``shots=0`` returns exact populations; ``shots>0``
     draws one multinomial sample over all levels per state (an ``rng`` is
     then required).  Leakage aggregates every level above the first
-    excited state.
+    excited state.  The arithmetic and the draws are
+    ``level_frequencies``', which the pulse losses call directly.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[-1] < 2:
         raise ValueError(
             "state must be a 1-D vector or a 2-D batch of rows with >= 2 levels"
         )
-    # transposes put levels first, so one code path serves both shapes
-    probs = (np.abs(state) ** 2).T
-    total = probs.sum(axis=0)
-    drift = abs(total - 1.0)
-    if drift.ndim:  # a batch: its worst row (NaN if any row is NaN)
-        drift = drift.max()
-    if not drift <= 1e-9:
-        raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    if shots == 0:
-        freq = probs
-    else:
+    if shots > 0:
         if rng is None:
             raise ValueError("shot sampling requires an rng (Generator or seed)")
         rng = np.random.default_rng(rng)
-        freq = rng.multinomial(shots, (probs / total).T).T / shots
+    # the transpose puts levels first, so one code path serves both shapes
+    freq = level_frequencies((np.abs(state) ** 2).T, shots, rng)
     ground, excited, leakage = freq[0], freq[1], freq[2:].sum(axis=0)
     if state.ndim == 1:
         return PopulationMeasurement(float(ground), float(excited), float(leakage))

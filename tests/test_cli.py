@@ -201,6 +201,9 @@ def _with(config, path, value):
     return config
 
 
+_RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -211,10 +214,19 @@ def _with(config, path, value):
         ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], {"start": 0.0, "stop": 1.0})),
         ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "lengths"], 30)),
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "schedules"], None)),
+        ("scan", _with(SCAN_CONFIG, ["objective", "duration_ns"], "x")),
+        ("scan", _with(SCAN_CONFIG, ["objective", "dt_ns"], None)),
+        ("scan", _with(SCAN_CONFIG, ["objective", "dt_ns"], 3.0)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "dt_ns"], 30.0)),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": None})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": "7"})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": 7.5})),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
         "range-without-num", "scalar-final-lengths", "null-section",
+        "string-duration", "null-dt", "dt-not-dividing-duration", "dt-over-duration",
+        "null-theta-seed", "string-theta-seed", "float-theta-seed",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

@@ -7,6 +7,7 @@ import pytest
 
 from pertopt import (
     ObjectiveConfig,
+    ObjectiveError,
     TransmonParams,
     loss_combined,
     loss_rb,
@@ -15,7 +16,8 @@ from pertopt import (
     make_pulse_objective,
     synthetic_objective,
 )
-from pertopt.objectives import ideal_excited_after_x90s
+from pertopt.estimators import _evaluate
+from pertopt.objectives import PULSE_LOSSES, ideal_excited_after_x90s
 from pertopt.transmon import HannPulseParams
 
 TWO_LEVEL = TransmonParams(n_levels=2)
@@ -127,6 +129,83 @@ def test_shots_required_error_is_raised_at_call_time():
         objective(np.zeros(20))
 
 
+def test_objective_matches_the_public_losses_bit_for_bit():
+    # the objective does its pulse-independent work once; every value must
+    # still be the public loss's, draw for draw from the same stream
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def configs(draw):
+        n_basis = draw(st.integers(1, 6))
+        dt = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        kwargs = {
+            "transmon": TransmonParams(n_levels=draw(st.integers(2, 4))),
+            "n_basis": n_basis,
+            "dt": dt,
+            "duration": dt * draw(st.integers(1, 24)),
+            "shots": draw(st.sampled_from([0, 1, 100, 1000])),
+            "k_list": tuple(sorted(draw(
+                st.sets(st.integers(1, 9), min_size=1, max_size=4)
+            ))),
+        }
+        if draw(st.booleans()):
+            kwargs["active_dims"] = tuple(draw(st.lists(
+                st.integers(0, 2 * n_basis - 1), min_size=1, unique=True
+            )))
+        if draw(st.booleans()):
+            kwargs["distortion"] = tuple(draw(st.lists(
+                st.floats(-1.0, 1.0), min_size=1, max_size=3
+            )))
+        return ObjectiveConfig(**kwargs)
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(
+        name=st.sampled_from(["lx", "ly", "l_combined"]),
+        cfg=configs(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(name, cfg, seed):
+        objective = make_pulse_objective(name, cfg, seed)
+        loss, rng = PULSE_LOSSES[name], np.random.default_rng(seed)
+        for theta in np.random.default_rng(seed).uniform(-0.4, 0.4, (4, cfg.dim)):
+            value = objective(theta)
+            assert type(value) is float
+            expected = loss(cfg.pulse_from_theta(theta), cfg, rng).value
+            assert value.hex() == expected.hex()
+
+    check()
+
+
+def test_rb_objective_matches_loss_rb_bit_for_bit():
+    cfg = exact_cfg(rb_lengths=(0, 2, 5, 9), rb_sequences=3, distortion=(0.9, 0.1))
+    objective = make_pulse_objective("l_rb", cfg, 21)
+    rng = np.random.default_rng(21)
+    x90 = pulse(a1=0.5).theta
+    for theta in x90 + np.random.default_rng(22).uniform(-0.1, 0.1, (3, 20)):
+        expected = loss_rb(cfg.pulse_from_theta(theta), cfg, rng).value
+        assert objective(theta) == expected
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        np.zeros(19),
+        np.zeros((2, 10)),
+        np.r_[np.nan, np.zeros(19)],
+        np.r_[np.zeros(19), -np.inf],
+    ],
+    ids=["short", "2-d", "nan", "inf"],
+)
+@pytest.mark.parametrize("name", ["lx", "l_combined", "l_rb"])
+def test_bad_theta_raises_at_call_time(name, theta):
+    objective = make_pulse_objective(name, ObjectiveConfig(shots=100), rng=1)
+    with pytest.raises(ValueError, match="theta must be 1-D|finite"):
+        objective(theta)
+    with pytest.raises(ObjectiveError, match="probe baseline"):
+        _evaluate(objective, theta, "baseline")
+
+
 # -------------------------------------------------------------------- l_rb
 
 
@@ -186,6 +265,15 @@ def test_objective_config_validation():
         ObjectiveConfig(rb_sequences=0)
     with pytest.raises(ValueError, match="n_basis"):
         ObjectiveConfig(n_basis=0)
+    for bad in (0.0, -20.0, np.inf, np.nan, None, "20"):
+        with pytest.raises(ValueError, match="duration must be a finite number"):
+            ObjectiveConfig(duration=bad)
+        with pytest.raises(ValueError, match="dt must be a finite number"):
+            ObjectiveConfig(dt=bad)
+    with pytest.raises(ValueError, match="must not exceed"):
+        ObjectiveConfig(duration=1.0, dt=2.0)
+    with pytest.raises(ValueError, match="evenly divide"):
+        ObjectiveConfig(duration=20.0, dt=3.0)
 
 
 def test_active_dims_reduce_the_search_space():

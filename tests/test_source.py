@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pertopt"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pertopt"
 
 
 def test_no_assert_statements_in_package():
@@ -38,3 +40,53 @@ def test_import_does_not_load_scipy_optimize():
         timeout=120, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def _patch_targets(path: Path, function: str) -> set[tuple[str, str]]:
+    """``(module, attr)`` of every ``(module, "attr", ...)`` tuple in
+    ``function``, for the modules it names as ``pertopt.<module>``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    body = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    aliases = {}  # e.g. ``objectives, rb = pertopt.objectives, pertopt.rb``
+    for node in ast.walk(body):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            for target, value in zip(node.targets[0].elts, node.value.elts):
+                aliases[ast.unparse(target)] = ast.unparse(value)
+    targets = set()
+    for node in ast.walk(body):
+        if (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) >= 2
+            and isinstance(node.elts[1], ast.Constant)
+            and isinstance(node.elts[1].value, str)
+        ):
+            module = ast.unparse(node.elts[0])
+            module = aliases.get(module, module)
+            if module.startswith("pertopt."):
+                targets.add((module, node.elts[1].value))
+    return targets
+
+
+def test_benchmark_patch_targets_exist():
+    # bench/run.py --trace 1 wraps these names where pertopt looks them up;
+    # a refactor that drops one breaks the traced benchmark, not the suite
+    traced = _patch_targets(ROOT / "bench" / "tracing.py", "installed")
+    timed = _patch_targets(ROOT / "bench" / "workloads.py", "_timed_objectives")
+    assert {
+        ("pertopt.objectives", "evolve"),
+        ("pertopt.objectives", "hann_waveform"),
+        ("pertopt.objectives", "measure_population"),
+        ("pertopt.objectives", "run_rb"),
+        ("pertopt.objectives", "fit_rb_decay"),
+        ("pertopt.experiments", "make_pulse_objective"),
+    } <= traced
+    assert timed == {("pertopt.experiments", "make_pulse_objective")}
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(traced | timed)
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

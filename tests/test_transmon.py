@@ -23,7 +23,7 @@ from pertopt.transmon import (
     TWO_PI,
     UnitarityError,
     _evolve_operators,
-    _hann_basis,
+    hann_windows,
     lowering_operator,
 )
 
@@ -270,7 +270,7 @@ def test_returned_propagator_is_a_fresh_writable_array():
 
 def test_pulse_independent_caches_are_read_only():
     cached = [
-        _hann_basis(10, 20.0, 1.0),
+        hann_windows(10, 20.0, 1.0),
         *_evolve_operators(TransmonParams()),
         _prepared_state("x", 3),
         _prepared_state("y", 2),
