@@ -11,7 +11,7 @@ and optimizer tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
 from typing import Callable
@@ -25,7 +25,7 @@ from .transmon import (
     TransmonParams,
     embed_qubit_gate,
     evolve,
-    hann_waveform,
+    hann_waveform,  # unused here; bench/tracing.py wraps this lookup site
     hann_windows,
     level_frequencies,
     measure_population,  # unused here; bench/tracing.py wraps this lookup site
@@ -63,8 +63,6 @@ class ObjectiveConfig:
             value = getattr(self, name)
             if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.dt > self.duration:
-            raise ValueError("dt must not exceed the pulse duration")
         # raises unless dt divides the duration into whole segments
         hann_windows(self.n_basis, self.duration, self.dt)
         ks = tuple(int(k) for k in self.k_list)
@@ -118,6 +116,11 @@ class ObjectiveConfig:
             self.expand_theta(theta), duration=self.duration, dt=self.dt
         )
 
+    @property
+    def fir(self) -> np.ndarray | None:
+        """The distortion kernel as a float array, or ``None``."""
+        return None if self.distortion is None else np.array(self.distortion)
+
 
 @dataclass(frozen=True)
 class LossValue:
@@ -127,12 +130,26 @@ class LossValue:
     components: dict[str, float] | None = None
 
 
+def _propagator(
+    a: np.ndarray,
+    b: np.ndarray,
+    duration: float,
+    dt: float,
+    fir: np.ndarray | None,
+    transmon: TransmonParams,
+) -> np.ndarray:
+    """Propagator of the Hann pulse with I coefficients ``a``, Q ``b``."""
+    windows = hann_windows(a.size, duration, dt)
+    # one vector product per quadrature: a (2, n) matrix product rounds
+    # some samples differently in the last bit
+    return evolve(PulseSequence(a @ windows, b @ windows, dt, fir), transmon)
+
+
 def pulse_propagator(ab: HannPulseParams, cfg: ObjectiveConfig) -> np.ndarray:
     """Simulated propagator of the Hann pulse ``ab`` under ``cfg``."""
-    seq = hann_waveform(ab)
-    if cfg.distortion is not None:
-        seq = replace(seq, distortion=np.asarray(cfg.distortion, dtype=float))
-    return evolve(seq, cfg.transmon)
+    return _propagator(
+        ab.a_coeffs, ab.b_coeffs, ab.duration, ab.dt, cfg.fir, cfg.transmon
+    )
 
 
 @lru_cache(maxsize=None)
@@ -146,12 +163,15 @@ def _prepared_state(axis: str, n_levels: int) -> np.ndarray:
     return psi
 
 
-def _rng_for_shots(shots: int, rng) -> np.random.Generator | None:
-    if shots == 0:
-        return None
-    if rng is None:
+def _require_rng(name: str, cfg: ObjectiveConfig, rng) -> np.random.Generator | None:
+    """``rng`` as a Generator; raises if it is None and the loss needs one."""
+    if rng is not None:
+        return np.random.default_rng(rng)
+    if name == "l_rb":
+        raise ValueError("loss_rb requires an rng for Clifford sequence sampling")
+    if cfg.shots > 0:
         raise ValueError("shot-sampled losses require an rng (Generator or seed)")
-    return np.random.default_rng(rng)
+    return None
 
 
 def ideal_excited_after_x90s(k: int) -> float:
@@ -215,7 +235,7 @@ def _rb_loss(
 def _readout_losses(
     name: str, ab: HannPulseParams, cfg: ObjectiveConfig, rng
 ) -> list[float]:
-    rng = _rng_for_shots(cfg.shots, rng)
+    rng = _require_rng(name, cfg, rng)
     return _population_losses(pulse_propagator(ab, cfg), _readouts(name, cfg), cfg, rng)
 
 
@@ -245,9 +265,8 @@ def loss_rb(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
     overshoot 1 by fit noise on a near-perfect gate; the loss is floored
     at 0 and the raw decay reported in components.
     """
-    if rng is None:
-        raise ValueError("loss_rb requires an rng for Clifford sequence sampling")
-    value, decay = _rb_loss(pulse_propagator(ab, cfg), cfg, np.random.default_rng(rng))
+    rng = _require_rng("l_rb", cfg, rng)
+    value, decay = _rb_loss(pulse_propagator(ab, cfg), cfg, rng)
     return LossValue(value=value, components={"decay_rate": decay})
 
 
@@ -269,12 +288,13 @@ def make_pulse_objective(
     cfg, rng).value`` bit for bit, call after call from the same ``rng``.
     What does not depend on the pulse is done once, here: the rng is
     resolved into one persistent stream (successive calls draw fresh shot
-    noise and benchmark sequences deterministically), and the Hann windows,
-    the FIR kernel array, the prepared states and the ideal targets per
-    repetition count are built.  ``cfg`` has already checked the pulse
-    geometry and the repetition counts.  Each call then checks ``theta``,
-    samples the pulse with one product per quadrature, calls ``evolve``
-    and, for the population losses, draws once per repetition count from
+    noise and benchmark sequences deterministically), and the FIR kernel
+    array, the prepared states and the ideal targets per repetition count
+    are built.  ``cfg`` has already checked the pulse geometry and the
+    repetition counts, building the cached Hann windows.  Each call then
+    checks ``theta`` and runs the public losses' own functions: it samples
+    the pulse with one product per quadrature, calls ``evolve`` and, for
+    the population losses, draws once per repetition count from
     ``|psi|**2``; ``l_rb`` runs RB and fits its decay.  A wrong-length or
     non-finite ``theta`` raises ``ValueError`` at call time, and so does a
     loss that needs an rng (shots > 0, or ``l_rb``) when none was given.
@@ -283,36 +303,20 @@ def make_pulse_objective(
         raise ValueError(
             f"unknown pulse loss {name!r}, expected one of {tuple(PULSE_LOSSES)}"
         )
-    if rng is None and (name == "l_rb" or cfg.shots > 0):
-
-        def missing_rng(theta: np.ndarray) -> float:
-            # the loss raises for the rng it needs, at call time
-            return PULSE_LOSSES[name](cfg.pulse_from_theta(theta), cfg).value
-
-        return missing_rng
     if rng is not None:
         rng = np.random.default_rng(rng)
-    n, dt, transmon = cfg.n_basis, cfg.dt, cfg.transmon
-    windows = hann_windows(n, cfg.duration, dt)
-    fir = None if cfg.distortion is None else np.array(cfg.distortion)
-
-    def propagator(theta: np.ndarray) -> np.ndarray:
-        coeffs = cfg.expand_theta(theta)
-        # one vector product per quadrature: a (2, n) matrix product rounds
-        # some samples differently in the last bit
-        pulse = PulseSequence(coeffs[:n] @ windows, coeffs[n:] @ windows, dt, fir)
-        return evolve(pulse, transmon)
-
-    if name == "l_rb":
-
-        def objective(theta: np.ndarray) -> float:
-            return _rb_loss(propagator(theta), cfg, rng)[0]
-
-        return objective
-    readouts = _readouts(name, cfg)
+    n, duration, dt = cfg.n_basis, cfg.duration, cfg.dt
+    fir, transmon = cfg.fir, cfg.transmon
+    readouts = None if name == "l_rb" else _readouts(name, cfg)
 
     def objective(theta: np.ndarray) -> float:
-        losses = _population_losses(propagator(theta), readouts, cfg, rng)
+        coeffs = cfg.expand_theta(theta)
+        if rng is None:
+            _require_rng(name, cfg, rng)  # raises if the loss needs an rng
+        u = _propagator(coeffs[:n], coeffs[n:], duration, dt, fir, transmon)
+        if readouts is None:
+            return _rb_loss(u, cfg, rng)[0]
+        losses = _population_losses(u, readouts, cfg, rng)
         # one readout's loss as is; l_combined's as (lx + ly) / 2
         return sum(losses) / len(losses)
 

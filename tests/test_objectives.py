@@ -129,6 +129,12 @@ def test_shots_required_error_is_raised_at_call_time():
         objective(np.zeros(20))
 
 
+def test_rb_objective_requires_an_rng_at_call_time():
+    objective = make_pulse_objective("l_rb", exact_cfg())
+    with pytest.raises(ValueError, match="loss_rb requires an rng"):
+        objective(np.zeros(20))
+
+
 def test_objective_matches_the_public_losses_bit_for_bit():
     # the objective does its pulse-independent work once; every value must
     # still be the public loss's, draw for draw from the same stream
@@ -270,7 +276,7 @@ def test_objective_config_validation():
             ObjectiveConfig(duration=bad)
         with pytest.raises(ValueError, match="dt must be a finite number"):
             ObjectiveConfig(dt=bad)
-    with pytest.raises(ValueError, match="must not exceed"):
+    with pytest.raises(ValueError, match="evenly divide"):
         ObjectiveConfig(duration=1.0, dt=2.0)
     with pytest.raises(ValueError, match="evenly divide"):
         ObjectiveConfig(duration=20.0, dt=3.0)
