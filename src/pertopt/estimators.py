@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .transmon import is_integer
+
 Objective = Callable[[np.ndarray], float]
 
 _METHODS = ("fdsa", "spsa", "rsgf")
@@ -59,8 +61,10 @@ class EstimatorConfig:
             raise ValueError(
                 f"unknown estimator {self.method!r}, expected one of {_METHODS}"
             )
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not is_integer(self.n_samples) or self.n_samples < 1:
+            raise ValueError(
+                f"n_samples must be an integer >= 1, got {self.n_samples!r}"
+            )
 
     def evals_per_update(self, dim: int) -> int:
         """Billed objective evaluations for one averaged gradient estimate."""

@@ -44,7 +44,13 @@ from .optimizers import (
 )
 from .rb import fit_rb_decay, interleaved_gate_fidelity, rb_ladder, run_rb, RBFitResult
 from .schedules import ScheduleSet
-from .transmon import TransmonParams, average_gate_fidelity, rotation_unitary
+from .transmon import (
+    TransmonParams,
+    average_gate_fidelity,
+    check_shots,
+    is_integer,
+    rotation_unitary,
+)
 
 # the objectives a config file may name; ly and shifted_quadratic are API-only
 CONFIG_OBJECTIVES = ("lx", "l_combined", "l_rb", "sphere", "cubic")
@@ -85,10 +91,15 @@ class ExperimentConfig:
                 f"unknown update rule {self.update_rule!r}, "
                 f"expected one of {UPDATE_RULES}"
             )
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if not is_integer(self.repeats) or self.repeats < 1:
+            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        if not is_integer(self.base_seed):
+            raise ConfigError(f"seed must be an integer, got {self.base_seed!r}")
+        sigma = self.noise_sigma
+        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma)) or sigma < 0:
+            raise ConfigError(f"noise_sigma must be a finite number >= 0, got {sigma!r}")
         if self.clip_box is not None:
             box = self.clip_box
             if np.ndim(box) != 1 or len(box) != 2:
@@ -385,8 +396,9 @@ class FinalRBConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lengths", rb_ladder(self.lengths, self.n_sequences))
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        check_shots(self.shots)
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -458,7 +470,7 @@ def assess_gate(
     final_rb: FinalRBConfig = FinalRBConfig(),
 ) -> tuple[RBFitResult, RBFitResult, float, float]:
     """Reference + interleaved RB of the pulse at ``theta`` vs the direct oracle."""
-    u = pulse_propagator(objective_config.pulse_from_theta(theta), objective_config)
+    u = pulse_propagator(theta, objective_config)
     fits = []
     streams = np.random.SeedSequence(final_rb.seed).spawn(2)
     for interleaved, stream in zip((False, True), streams):
@@ -596,9 +608,7 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
             "initial_theta values"
         )
     seed = spec.get("seed", 0)
-    if kind == "random_uniform" and (
-        isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-    ):
+    if kind == "random_uniform" and not is_integer(seed):
         # a null seed would draw from OS entropy: the run could not be repeated
         raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
     try:

@@ -1,18 +1,19 @@
 """Calibration losses over pulse coefficients, plus synthetic test functions.
 
-The pulse losses compare measured excited-state populations against the
-ideal populations produced by repeated perfect X90 gates applied to a
-reference state (prepared along +x or +y).  ``loss_rb`` scores a pulse by
-the fitted randomized-benchmarking decay instead.  Synthetic objectives
-(sphere, shifted quadratic, cubic) carry analytic gradients for estimator
-and optimizer tests.
+``make_pulse_objective`` builds each pulse loss as a black box
+``f(theta) -> float``.  The population losses compare measured
+excited-state populations against the ideal populations produced by
+repeated perfect X90 gates applied to a reference state (prepared along
++x or +y); ``l_rb`` scores a pulse by the fitted randomized-benchmarking
+decay instead.  Synthetic objectives (sphere, shifted quadratic, cubic)
+carry analytic gradients for estimator and optimizer tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 from typing import Callable
 
@@ -20,12 +21,11 @@ import numpy as np
 
 from .rb import DEFAULT_RB_LENGTHS, fit_rb_decay, rb_ladder, run_rb
 from .transmon import (
-    HannPulseParams,
-    PulseSequence,
     TransmonParams,
+    check_shots,
     embed_qubit_gate,
     evolve,
-    hann_waveform,  # unused here; bench/tracing.py wraps this lookup site
+    hann_waveform,
     hann_windows,
     level_frequencies,
     measure_population,  # unused here; bench/tracing.py wraps this lookup site
@@ -42,7 +42,7 @@ class ObjectiveConfig:
     optimization to a subset of the flat ``(A, B)`` vector; inactive
     coefficients are fixed at zero.  ``k_list`` must be strictly
     increasing positive repetition counts; the loss is normalized by its
-    length.
+    length.  ``shots`` must be an integer >= 0.
     """
 
     transmon: TransmonParams = TransmonParams()
@@ -71,8 +71,7 @@ class ObjectiveConfig:
             raise ValueError(
                 f"k_list must be strictly increasing positive integers, got {ks}"
             )
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        check_shots(self.shots)
         if self.active_dims is not None:
             dims = tuple(int(i) for i in self.active_dims)
             object.__setattr__(self, "active_dims", dims)
@@ -88,10 +87,6 @@ class ObjectiveConfig:
             self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
         )
         object.__setattr__(self, "rb_lengths", lengths)
-
-    @property
-    def n_repetitions(self) -> int:
-        return len(self.k_list)
 
     @property
     def dim(self) -> int:
@@ -111,45 +106,26 @@ class ObjectiveConfig:
         full[list(self.active_dims)] = theta
         return full
 
-    def pulse_from_theta(self, theta: np.ndarray) -> HannPulseParams:
-        return HannPulseParams.from_theta(
-            self.expand_theta(theta), duration=self.duration, dt=self.dt
-        )
-
-    @property
+    @cached_property
     def fir(self) -> np.ndarray | None:
-        """The distortion kernel as a float array, or ``None``."""
-        return None if self.distortion is None else np.array(self.distortion)
+        """The distortion kernel as one read-only float array, or ``None``."""
+        if self.distortion is None:
+            return None
+        fir = np.array(self.distortion)
+        fir.setflags(write=False)
+        return fir
 
 
-@dataclass(frozen=True)
-class LossValue:
-    """A loss evaluation plus accounting and optional breakdown."""
+def pulse_propagator(theta: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
+    """Simulated propagator of the pulse at ``theta`` (active dims) under ``cfg``.
 
-    value: float
-    components: dict[str, float] | None = None
-
-
-def _propagator(
-    a: np.ndarray,
-    b: np.ndarray,
-    duration: float,
-    dt: float,
-    fir: np.ndarray | None,
-    transmon: TransmonParams,
-) -> np.ndarray:
-    """Propagator of the Hann pulse with I coefficients ``a``, Q ``b``."""
-    windows = hann_windows(a.size, duration, dt)
-    # one vector product per quadrature: a (2, n) matrix product rounds
-    # some samples differently in the last bit
-    return evolve(PulseSequence(a @ windows, b @ windows, dt, fir), transmon)
-
-
-def pulse_propagator(ab: HannPulseParams, cfg: ObjectiveConfig) -> np.ndarray:
-    """Simulated propagator of the Hann pulse ``ab`` under ``cfg``."""
-    return _propagator(
-        ab.a_coeffs, ab.b_coeffs, ab.duration, ab.dt, cfg.fir, cfg.transmon
-    )
+    The one path from parameters to a gate: ``cfg.expand_theta``, then
+    ``hann_waveform``, then ``evolve``.  Raises ``ValueError`` for a
+    wrong-length or non-finite ``theta``.
+    """
+    coeffs, n = cfg.expand_theta(theta), cfg.n_basis
+    pulse = hann_waveform(coeffs[:n], coeffs[n:], cfg.duration, cfg.dt, cfg.fir)
+    return evolve(pulse, cfg.transmon)
 
 
 @lru_cache(maxsize=None)
@@ -161,17 +137,6 @@ def _prepared_state(axis: str, n_levels: int) -> np.ndarray:
     psi = prep @ psi0
     psi.setflags(write=False)
     return psi
-
-
-def _require_rng(name: str, cfg: ObjectiveConfig, rng) -> np.random.Generator | None:
-    """``rng`` as a Generator; raises if it is None and the loss needs one."""
-    if rng is not None:
-        return np.random.default_rng(rng)
-    if name == "l_rb":
-        raise ValueError("loss_rb requires an rng for Clifford sequence sampling")
-    if cfg.shots > 0:
-        raise ValueError("shot-sampled losses require an rng (Generator or seed)")
-    return None
 
 
 def ideal_excited_after_x90s(k: int) -> float:
@@ -217,10 +182,12 @@ def _population_losses(
     return losses
 
 
-def _rb_loss(
-    u: np.ndarray, cfg: ObjectiveConfig, rng: np.random.Generator
-) -> tuple[float, float]:
-    """``l_rb`` of the propagator ``u`` and the fitted decay it came from."""
+def _rb_loss(u: np.ndarray, cfg: ObjectiveConfig, rng: np.random.Generator) -> float:
+    """Percent Clifford infidelity ``(1 - decay) * 100`` of ``u`` from simulated RB.
+
+    The fitted decay may overshoot 1 by fit noise on a near-perfect gate;
+    the loss is floored at 0.
+    """
     data = run_rb(
         u,
         cfg.rb_lengths,
@@ -229,93 +196,57 @@ def _rb_loss(
         seed=rng,
     )
     decay = fit_rb_decay(data.lengths, data.survival).decay_rate
-    return max(0.0, (1.0 - decay) * 100.0), decay
+    return max(0.0, (1.0 - decay) * 100.0)
 
 
-def _readout_losses(
-    name: str, ab: HannPulseParams, cfg: ObjectiveConfig, rng
-) -> list[float]:
-    rng = _require_rng(name, cfg, rng)
-    return _population_losses(pulse_propagator(ab, cfg), _readouts(name, cfg), cfg, rng)
-
-
-def loss_x(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
-    """Mean absolute population error against repeated-X90 targets (+x prep)."""
-    return LossValue(value=_readout_losses("lx", ab, cfg, rng)[0])
-
-
-def loss_y(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
-    """Mean absolute population error against the constant 1/2 target (+y prep)."""
-    return LossValue(value=_readout_losses("ly", ab, cfg, rng)[0])
-
-
-def loss_combined(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
-    """Average of the x and y losses on one simulated propagator."""
-    lx, ly = _readout_losses("l_combined", ab, cfg, rng)
-    return LossValue(
-        value=(lx + ly) / 2.0, components={"loss_x": lx, "loss_y": ly}
-    )
-
-
-def loss_rb(ab: HannPulseParams, cfg: ObjectiveConfig, rng=None) -> LossValue:
-    """Percent Clifford infidelity ``(1 - decay) * 100`` from simulated RB.
-
-    Random Clifford sequences make this loss stochastic even at
-    ``shots = 0``, so an rng is always required.  The fitted decay may
-    overshoot 1 by fit noise on a near-perfect gate; the loss is floored
-    at 0 and the raw decay reported in components.
-    """
-    rng = _require_rng("l_rb", cfg, rng)
-    value, decay = _rb_loss(pulse_propagator(ab, cfg), cfg, rng)
-    return LossValue(value=value, components={"decay_rate": decay})
-
-
-# pulse losses by name; experiments.py takes its pulse objective names from here
-PULSE_LOSSES: dict[str, Callable[..., LossValue]] = {
-    "lx": loss_x,
-    "ly": loss_y,
-    "l_combined": loss_combined,
-    "l_rb": loss_rb,
-}
+# the pulse losses make_pulse_objective builds; experiments.py takes its
+# pulse objective names from here
+PULSE_LOSSES = ("lx", "ly", "l_combined", "l_rb")
 
 
 def make_pulse_objective(
     name: str, cfg: ObjectiveConfig, rng=None
 ) -> Callable[[np.ndarray], float]:
-    """Wrap a pulse loss as ``f(theta) -> float`` over the active dims.
+    """The pulse loss ``name`` as ``f(theta) -> float`` over the active dims.
 
-    ``f(theta)`` equals ``PULSE_LOSSES[name](cfg.pulse_from_theta(theta),
-    cfg, rng).value`` bit for bit, call after call from the same ``rng``.
+    ``lx`` is the mean absolute excited-population error against the
+    repeated-X90 targets from the +x-prepared state, ``ly`` the same
+    against the constant 1/2 target from the +y-prepared state, and
+    ``l_combined`` their average on one propagator.  ``l_rb`` is the
+    percent Clifford infidelity ``(1 - decay) * 100`` from simulated RB,
+    floored at 0; its random Clifford sequences make it stochastic even
+    at ``shots = 0``, so it always needs an rng.
+
     What does not depend on the pulse is done once, here: the rng is
     resolved into one persistent stream (successive calls draw fresh shot
-    noise and benchmark sequences deterministically), and the FIR kernel
-    array, the prepared states and the ideal targets per repetition count
-    are built.  ``cfg`` has already checked the pulse geometry and the
-    repetition counts, building the cached Hann windows.  Each call then
-    checks ``theta`` and runs the public losses' own functions: it samples
-    the pulse with one product per quadrature, calls ``evolve`` and, for
-    the population losses, draws once per repetition count from
+    noise and benchmark sequences deterministically), and the prepared
+    states and the ideal targets per repetition count are built.  ``cfg``
+    has already checked the pulse geometry and the repetition counts,
+    building the cached Hann windows.  Each call runs ``pulse_propagator``
+    and, for the population losses, draws once per repetition count from
     ``|psi|**2``; ``l_rb`` runs RB and fits its decay.  A wrong-length or
     non-finite ``theta`` raises ``ValueError`` at call time, and so does a
     loss that needs an rng (shots > 0, or ``l_rb``) when none was given.
     """
     if name not in PULSE_LOSSES:
         raise ValueError(
-            f"unknown pulse loss {name!r}, expected one of {tuple(PULSE_LOSSES)}"
+            f"unknown pulse loss {name!r}, expected one of {PULSE_LOSSES}"
         )
+    missing_rng = None
     if rng is not None:
         rng = np.random.default_rng(rng)
-    n, duration, dt = cfg.n_basis, cfg.duration, cfg.dt
-    fir, transmon = cfg.fir, cfg.transmon
+    elif name == "l_rb":
+        missing_rng = "loss_rb requires an rng for Clifford sequence sampling"
+    elif cfg.shots > 0:
+        missing_rng = "shot-sampled losses require an rng (Generator or seed)"
     readouts = None if name == "l_rb" else _readouts(name, cfg)
 
     def objective(theta: np.ndarray) -> float:
-        coeffs = cfg.expand_theta(theta)
-        if rng is None:
-            _require_rng(name, cfg, rng)  # raises if the loss needs an rng
-        u = _propagator(coeffs[:n], coeffs[n:], duration, dt, fir, transmon)
+        if missing_rng is not None:
+            raise ValueError(missing_rng)
+        u = pulse_propagator(theta, cfg)
         if readouts is None:
-            return _rb_loss(u, cfg, rng)[0]
+            return _rb_loss(u, cfg, rng)
         losses = _population_losses(u, readouts, cfg, rng)
         # one readout's loss as is; l_combined's as (lx + ly) / 2
         return sum(losses) / len(losses)

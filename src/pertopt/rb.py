@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trf import trf_bounds
-from .transmon import embed_qubit_gate, measure_population, rotation_unitary
+from .transmon import (
+    check_shots,
+    embed_qubit_gate,
+    is_integer,
+    measure_population,
+    rotation_unitary,
+)
 
 X90_GENERATOR_INDEX = 1
 
@@ -36,11 +42,14 @@ def rb_ladder(
 ) -> tuple[int, ...]:
     """``lengths`` as a tuple of ints, checked as a ladder a decay fits to.
 
-    The fit needs at least three non-negative lengths and at least one
-    sequence per length; the names label the two settings in errors.
+    The fit needs at least three non-negative lengths and an integer
+    count of at least one sequence per length; the names label the two
+    settings in errors.
     """
-    if n_sequences < 1:
-        raise ValueError(f"{sequences_name} must be >= 1, got {n_sequences}")
+    if not is_integer(n_sequences) or n_sequences < 1:
+        raise ValueError(
+            f"{sequences_name} must be an integer >= 1, got {n_sequences!r}"
+        )
     ladder = tuple(int(m) for m in lengths)
     if len(ladder) < 3 or any(m < 0 for m in ladder):
         raise ValueError(
@@ -100,13 +109,6 @@ class CliffordGroup:
 
     def __len__(self) -> int:
         return len(self.unitaries)
-
-    def index_of(self, u: np.ndarray) -> int:
-        key = _canonical_key(np.asarray(u, dtype=complex))
-        for k, elem in enumerate(self.unitaries):
-            if _canonical_key(elem) == key:
-                return k
-        raise KeyError("unitary is not a group element")
 
 
 def build_clifford_group() -> CliffordGroup:
@@ -254,8 +256,7 @@ def run_rb(
         raise ValueError("lengths must be a non-empty list of m >= 0")
     if n_sequences < 1:
         raise ValueError(f"n_sequences must be >= 1, got {n_sequences}")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    check_shots(shots)
     rng = np.random.default_rng(seed)
     group = clifford_group()
     compiled = compile_cliffords(group, gate)

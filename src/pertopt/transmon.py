@@ -20,6 +20,7 @@ with the static diagonal.  So a segment's propagator is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -131,10 +132,6 @@ class PulseSequence:
     def n_segments(self) -> int:
         return self.i_samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.n_segments * self.dt
-
     def effective_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """Samples actually integrated, after any FIR distortion."""
         if self.distortion is None:
@@ -146,67 +143,14 @@ class PulseSequence:
         )
 
 
-def hann_basis(index: int, t: float | np.ndarray, duration: float):
-    """Raised-cosine basis window ``1 - cos(2*pi*index*t/duration)``.
-
-    Vanishes at ``t = 0`` and ``t = duration`` for every integer index.
-    """
-    if index < 1:
-        raise ValueError(f"basis index must be >= 1, got {index}")
-    return 1.0 - np.cos(TWO_PI * index * np.asarray(t, dtype=float) / duration)
-
-
-@dataclass(frozen=True)
-class HannPulseParams:
-    """Raised-cosine series coefficients for the I and Q quadratures."""
-
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-    duration: float = 20.0
-    dt: float = 1.0
-
-    def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.a_coeffs, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b_coeffs, dtype=float))
-        object.__setattr__(self, "a_coeffs", a)
-        object.__setattr__(self, "b_coeffs", b)
-        if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
-            raise ValueError("a_coeffs and b_coeffs must be 1-D and equal length >= 1")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("pulse coefficients must be finite")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be > 0")
-        if self.dt > self.duration:
-            raise ValueError("dt must not exceed the pulse duration")
-
-    @property
-    def n_basis(self) -> int:
-        return self.a_coeffs.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Flat parameter vector: A coefficients then B coefficients."""
-        return np.concatenate([self.a_coeffs, self.b_coeffs])
-
-    @classmethod
-    def from_theta(
-        cls, theta: np.ndarray, duration: float = 20.0, dt: float = 1.0
-    ) -> "HannPulseParams":
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim != 1 or theta.size < 2 or theta.size % 2 != 0:
-            raise ValueError("theta must be 1-D with even length >= 2")
-        half = theta.size // 2
-        return cls(
-            a_coeffs=theta[:half], b_coeffs=theta[half:], duration=duration, dt=dt
-        )
-
-
 @lru_cache(maxsize=32)
 def hann_windows(n_basis: int, duration: float, dt: float) -> np.ndarray:
     """Read-only ``(n_basis, n_segments)`` windows at the segment midpoints.
 
     Raises ``ValueError`` unless ``duration / dt`` is a whole number.
     """
+    if not (duration > 0 and dt > 0):
+        raise ValueError(f"duration and dt must be > 0, got {duration}, {dt}")
     ratio = duration / dt
     n_segments = int(round(ratio))
     if n_segments < 1 or abs(ratio - n_segments) > 1e-9:
@@ -219,18 +163,24 @@ def hann_windows(n_basis: int, duration: float, dt: float) -> np.ndarray:
     return basis
 
 
-def hann_waveform(params: HannPulseParams) -> PulseSequence:
-    """Sample the raised-cosine series at segment midpoints.
+def hann_waveform(
+    a_coeffs, b_coeffs, duration: float, dt: float, distortion=None
+) -> PulseSequence:
+    """Sample the raised-cosine series at the segment midpoints.
 
-    ``duration / dt`` must be an integer segment count; samples are taken
-    at ``t = dt * (k + 1/2)``.
+    The I samples are ``sum_i a_i (1 - cos(2 pi i t / duration))`` over
+    the basis indices ``i = 1..n`` at ``t = dt * (k + 1/2)``, the Q
+    samples the same sum over ``b``.  The coefficients must be 1-D of
+    equal length >= 1 and ``duration / dt`` a whole number of segments;
+    ``distortion`` is the pulse's FIR kernel.
     """
-    windows = hann_windows(params.n_basis, params.duration, params.dt)
-    return PulseSequence(
-        i_samples=params.a_coeffs @ windows,
-        q_samples=params.b_coeffs @ windows,
-        dt=params.dt,
-    )
+    a, b = _float_vector(a_coeffs), _float_vector(b_coeffs)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
+        raise ValueError("a_coeffs and b_coeffs must be 1-D and equal length >= 1")
+    windows = hann_windows(a.size, duration, dt)
+    # one vector product per quadrature: a (2, n) matrix product rounds
+    # some samples differently in the last bit
+    return PulseSequence(a @ windows, b @ windows, dt, distortion)
 
 
 @lru_cache(maxsize=32)
@@ -294,6 +244,23 @@ class PopulationMeasurement(NamedTuple):
     leakage: float
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_shots(shots) -> None:
+    """Raise ``ValueError`` unless ``shots`` is an integer >= 0.
+
+    numpy's multinomial truncates a fractional count, while the frequencies
+    would be divided by the unrounded one.
+    """
+    if not is_integer(shots):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+
+
 def level_frequencies(
     probs: np.ndarray, shots: int, rng: np.random.Generator | None
 ) -> np.ndarray:
@@ -334,8 +301,7 @@ def measure_population(
         raise ValueError(
             "state must be a 1-D vector or a 2-D batch of rows with >= 2 levels"
         )
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    check_shots(shots)
     if shots > 0:
         if rng is None:
             raise ValueError("shot sampling requires an rng (Generator or seed)")

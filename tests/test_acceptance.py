@@ -27,7 +27,6 @@ from pertopt import (
     evolve,
     fdsa_gradient,
     hann_waveform,
-    HannPulseParams,
     read_summary_jsonl,
     read_trajectory_csv,
     rotation_unitary,
@@ -243,8 +242,8 @@ def test_5_simulator_physics():
         # Propagators stay unitary for arbitrary in-range pulses.
         rng = np.random.default_rng(23)
         for _ in range(5):
-            params = HannPulseParams(rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
-            u = evolve(hann_waveform(params), TransmonParams())
+            a, b = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
+            u = evolve(hann_waveform(a, b, 20.0, 1.0), TransmonParams())
             assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-9
 
         # Doing nothing instead of a quarter turn scores 2/3 on average.

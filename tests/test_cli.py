@@ -180,8 +180,13 @@ def test_unknown_update_rule_exits_1(tmp_path, capsys):
         {"shots": -1},
         {"lengths": [0, 10]},
         {"lengths": [0, -5, 10]},
+        {"seed": "x"},
+        {"shots": 2.5},
     ],
-    ids=["no-sequences", "negative-shots", "two-lengths", "negative-length"],
+    ids=[
+        "no-sequences", "negative-shots", "two-lengths", "negative-length",
+        "string-seed", "fractional-shots",
+    ],
 )
 def test_bad_final_rb_exits_1_before_any_stage(tmp_path, capsys, final_rb):
     config = write_config(tmp_path, dict(TUNEUP_CONFIG, final_rb=final_rb))
@@ -221,12 +226,22 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": None})),
         ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": "7"})),
         ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"seed": 7.5})),
+        ("run", _with(RUN_CONFIG, ["objective", "noise_sigma"], "10")),
+        ("run", _with(RUN_CONFIG, ["objective", "noise_sigma"], -1)),
+        ("run", _with(RUN_CONFIG, ["optimizer", "seed"], "x")),
+        ("run", _with(RUN_CONFIG, ["estimator", "n_samples"], 1.5)),
+        ("run", _with(RUN_CONFIG, ["repeats"], 1.5)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "rb_sequences"], 2.5)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["rough", "objective", "shots"], 2.5)),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
         "range-without-num", "scalar-final-lengths", "null-section",
         "string-duration", "null-dt", "dt-not-dividing-duration", "dt-over-duration",
         "null-theta-seed", "string-theta-seed", "float-theta-seed",
+        "string-noise-sigma", "negative-noise-sigma", "string-seed",
+        "fractional-n-samples", "fractional-repeats", "fractional-rb-sequences",
+        "fractional-shots",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

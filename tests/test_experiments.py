@@ -573,10 +573,15 @@ def test_list_fields_become_tuples():
 
 
 def test_final_rb_config_validation():
-    with pytest.raises(ValueError, match="n_sequences"):
-        FinalRBConfig(n_sequences=0)
-    with pytest.raises(ValueError, match="shots"):
-        FinalRBConfig(shots=-1)
+    for n_sequences in (0, 2.5):
+        with pytest.raises(ValueError, match="n_sequences"):
+            FinalRBConfig(n_sequences=n_sequences)
+    for shots in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="shots"):
+            FinalRBConfig(shots=shots)
+    for seed in ("x", None, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            FinalRBConfig(seed=seed)
     for lengths in ([0, 10], [0, -1, 10]):
         with pytest.raises(ValueError, match="lengths"):
             FinalRBConfig(lengths=lengths)

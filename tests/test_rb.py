@@ -96,8 +96,8 @@ def test_x90_usage_across_decompositions():
     counts = [d.count(X90_GENERATOR_INDEX) for d in g.decompositions]
     assert sum(counts) == 12
     assert max(len(d) for d in g.decompositions) <= 3
-    assert g.index_of(X90) == 1
-    assert g.x90_element == g.index_of(X90)
+    matches = [k for k, u in enumerate(g.unitaries) if phase_distance(u, X90) < 1e-9]
+    assert matches == [g.x90_element] == [1]
 
 
 def test_compile_with_ideal_gate_reproduces_group():
@@ -165,8 +165,9 @@ def test_rb_validation():
         run_rb(X90, (-1, 2), 4)
     with pytest.raises(ValueError, match="n_sequences"):
         run_rb(X90, (0, 2), 0)
-    with pytest.raises(ValueError, match="shots"):
-        run_rb(X90, (0, 2), 4, shots=-1)
+    for shots in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="shots"):
+            run_rb(X90, (0, 2), 4, shots=shots)
     with pytest.raises(ValueError, match="square"):
         run_rb(np.ones((2, 3)), (0, 2), 4)
 
@@ -203,7 +204,9 @@ def loop_run_rb(gate, lengths, n_sequences, shots=0, seed=None, interleaved=Fals
     rng = np.random.default_rng(seed)
     group = clifford_group()
     compiled = compile_cliffords(group, gate)
-    x90_element = group.index_of(X90)
+    x90_element = next(
+        k for k, u in enumerate(group.unitaries) if phase_distance(u, X90) < 1e-9
+    )
     draws = [[rng.integers(0, 24, size=m) for _ in range(n_sequences)]
              for m in lengths]
     ground = np.zeros(gate.shape[0], dtype=complex)

@@ -9,6 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from pertopt import ObjectiveConfig, make_pulse_objective, objectives
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pertopt"
 
@@ -90,3 +94,28 @@ def test_benchmark_patch_targets_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_benchmark_traced_layers_run(monkeypatch):
+    # a patch target that exists but is no longer called reads 0 in every
+    # traced run; each pulse-loss call must pass through these lookup sites
+    calls = {}
+
+    def counted(attr):
+        original = getattr(objectives, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(objectives, attr, wrapper)
+
+    for attr in ("hann_waveform", "evolve", "run_rb", "fit_rb_decay"):
+        counted(attr)
+    cfg = ObjectiveConfig(shots=0, rb_lengths=(0, 2, 5), rb_sequences=2)
+    theta = np.zeros(cfg.dim)
+    theta[0] = 0.5
+    make_pulse_objective("lx", cfg)(theta)
+    assert calls == {"hann_waveform": 1, "evolve": 1}
+    make_pulse_objective("l_rb", cfg, rng=0)(theta)
+    assert calls == {"hann_waveform": 2, "evolve": 2, "run_rb": 1, "fit_rb_decay": 1}

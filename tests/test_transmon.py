@@ -7,13 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from pertopt import (
-    HannPulseParams,
     PulseSequence,
     TransmonParams,
     average_gate_fidelity,
     embed_qubit_gate,
     evolve,
-    hann_basis,
     hann_waveform,
     measure_population,
     rotation_unitary,
@@ -68,49 +66,44 @@ def test_lowering_operator_matrix():
 # ------------------------------------------------------------- pulse shapes
 
 
-def test_hann_basis_vanishes_at_edges_and_peaks_at_two():
-    for index in range(1, 11):
-        assert hann_basis(index, 0.0, 20.0) == 0.0
-        assert abs(hann_basis(index, 20.0, 20.0)) < 1e-12
-    assert hann_basis(1, 10.0, 20.0) == pytest.approx(2.0, abs=1e-15)
-    with pytest.raises(ValueError, match="basis index"):
-        hann_basis(0, 1.0, 20.0)
-
-
 def test_hann_waveform_midpoint_sampling():
-    params = HannPulseParams(a_coeffs=[1.0], b_coeffs=[0.0], duration=20.0, dt=4.0)
-    pulse = hann_waveform(params)
+    pulse = hann_waveform([1.0], [0.0], 20.0, 4.0)
     t_mid = 4.0 * (np.arange(5) + 0.5)
-    np.testing.assert_allclose(pulse.i_samples, hann_basis(1, t_mid, 20.0),
+    np.testing.assert_allclose(pulse.i_samples, 1.0 - np.cos(TWO_PI * t_mid / 20.0),
                                atol=1e-15)
     assert pulse.i_samples[2] == 2.0  # midpoint t = 10 hits the peak exactly
     np.testing.assert_array_equal(pulse.q_samples, np.zeros(5))
+    assert pulse.dt == 4.0 and pulse.distortion is None
 
 
 def test_hann_waveform_matches_series_sum():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal(10), rng.standard_normal(10)
-    pulse = hann_waveform(HannPulseParams(a, b))
+    pulse = hann_waveform(a, b, 20.0, 1.0)
     t_mid = np.arange(20) + 0.5
-    expect_i = sum(a[i] * hann_basis(i + 1, t_mid, 20.0) for i in range(10))
-    expect_q = sum(b[i] * hann_basis(i + 1, t_mid, 20.0) for i in range(10))
+    window = [1.0 - np.cos(TWO_PI * (i + 1) * t_mid / 20.0) for i in range(10)]
+    expect_i = sum(a[i] * window[i] for i in range(10))
+    expect_q = sum(b[i] * window[i] for i in range(10))
     np.testing.assert_allclose(pulse.i_samples, expect_i, atol=1e-12)
     np.testing.assert_allclose(pulse.q_samples, expect_q, atol=1e-12)
 
 
 def test_hann_waveform_requires_integer_segments():
     with pytest.raises(ValueError, match="does not evenly divide"):
-        hann_waveform(HannPulseParams([1.0], [0.0], duration=20.0, dt=3.0))
+        hann_waveform([1.0], [0.0], 20.0, 3.0)
 
 
-def test_pulse_params_theta_round_trip():
-    theta = np.arange(20.0)
-    params = HannPulseParams.from_theta(theta)
-    np.testing.assert_array_equal(params.a_coeffs, theta[:10])
-    np.testing.assert_array_equal(params.b_coeffs, theta[10:])
-    np.testing.assert_array_equal(params.theta, theta)
-    with pytest.raises(ValueError, match="even length"):
-        HannPulseParams.from_theta(np.ones(5))
+def test_hann_waveform_validates_its_coefficients():
+    for a, b in (([1.0, 2.0], [1.0]), ([], []), (np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="equal length >= 1"):
+            hann_waveform(a, b, 20.0, 1.0)
+    for duration, dt in ((20.0, 0.0), (0.0, 1.0), (-20.0, -1.0)):
+        with pytest.raises(ValueError, match="must be > 0"):
+            hann_waveform([1.0], [0.0], duration, dt)
+    with pytest.raises(ValueError, match="finite"):
+        hann_waveform([np.nan], [0.0], 20.0, 1.0)
+    distorted = hann_waveform([1.0], [0.0], 20.0, 1.0, distortion=(0.5,))
+    np.testing.assert_array_equal(distorted.distortion, [0.5])
 
 
 def test_pulse_sequence_validation():
@@ -171,8 +164,8 @@ def test_quadrature_phases_differ():
 def test_propagator_stays_unitary_for_random_pulses():
     rng = np.random.default_rng(23)
     for _ in range(5):
-        params = HannPulseParams(rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10))
-        u = evolve(hann_waveform(params), TRANSMON)
+        a, b = rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10)
+        u = evolve(hann_waveform(a, b, 20.0, 1.0), TRANSMON)
         drift = np.max(np.abs(u.conj().T @ u - np.eye(3)))
         assert drift <= 1e-9
 
@@ -180,7 +173,7 @@ def test_propagator_stays_unitary_for_random_pulses():
 def test_exact_x90_at_half_amplitude_two_level():
     # hann series integrates to A1 * duration, so s * A1 * 20 = pi/2 at
     # A1 = 0.5; all segments commute on two levels
-    pulse = hann_waveform(HannPulseParams([0.5] + [0.0] * 9, [0.0] * 10))
+    pulse = hann_waveform([0.5] + [0.0] * 9, [0.0] * 10, 20.0, 1.0)
     u = evolve(pulse, QUBIT)
     fid = average_gate_fidelity(u, rotation_unitary("x", np.pi / 2))
     assert fid == pytest.approx(1.0, abs=1e-12)
@@ -189,13 +182,13 @@ def test_exact_x90_at_half_amplitude_two_level():
 def test_third_level_leaks_under_strong_fast_drive():
     # a strong high-harmonic drive modulates fast enough to defeat the
     # rotating-frame protection and strand population in level 2
-    pulse = hann_waveform(HannPulseParams([0.0] * 9 + [3.0], [0.0] * 10))
+    pulse = hann_waveform([0.0] * 9 + [3.0], [0.0] * 10, 20.0, 1.0)
     u = evolve(pulse, TRANSMON)
     leak = measure_population(u @ ground(3)).leakage
     assert leak > 1e-3
 
     # the same drive cannot leak on a two-level device
-    u2 = evolve(hann_waveform(HannPulseParams([0.0, 3.0], [0.0, 0.0])), QUBIT)
+    u2 = evolve(hann_waveform([0.0, 3.0], [0.0, 0.0], 20.0, 1.0), QUBIT)
     pops = np.abs(u2 @ ground(2)) ** 2
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -310,8 +303,9 @@ def test_measure_population_exact():
 def test_measure_population_validation():
     with pytest.raises(ValueError, match="norm"):
         measure_population(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="shots"):
-        measure_population(np.array([1.0, 0.0]), shots=-1)
+    for shots in (-1, 10.5, True):
+        with pytest.raises(ValueError, match="shots"):
+            measure_population(np.array([1.0, 0.0]), shots=shots, rng=0)
     with pytest.raises(ValueError, match="rng"):
         measure_population(np.array([1.0, 0.0]), shots=100)
     with pytest.raises(ValueError, match="1-D"):
