@@ -10,9 +10,10 @@ dense Jacobian under finite bounds with its defaults is kept: the exact
 scipy's order on the same values, so the search visits the same points
 and stops at the same bits.  What is gone is the per-call machinery:
 ``VectorFunction``'s caching and copies, and ``scipy.linalg.svd``'s
-batching wrapper and workspace query on every iteration.  LAPACK's
-``gesdd`` is called directly, with the workspace size
-``scipy.linalg.svd`` passes, queried once per search.
+wrapper.  The SVD is numpy's LAPACK ``dgesdd``, its factors in the
+Fortran order scipy returns, so the products with them run the same BLAS
+kernels; bit identity also needs numpy's and scipy's LAPACK builds to
+agree, which the tests check against scipy.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ from math import copysign
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import get_lapack_funcs
 
 _TOL = 1e-8  # least_squares' default ftol, xtol and gtol
 _EPS = np.finfo(float).eps
-_GESDD, _GESDD_LWORK = get_lapack_funcs(
-    ("gesdd", "gesdd_lwork"), (np.empty((1, 1)),), ilp64="preferred"
-)
 
 
 def _norm(x):
@@ -72,7 +68,8 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
     inner_lb = np.nextafter(lb, ub)
     inner_ub = np.nextafter(ub, lb)
 
-    v, dv = _scaling_vector(x, g, lb, ub)
+    bounds = list(zip(lb.tolist(), ub.tolist()))
+    v = _scaling_vector(x, g, bounds)[0]
     Delta = _norm(x0 / v**0.5)
     if Delta == 0:
         Delta = 1.0
@@ -82,11 +79,9 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
     # the lower block is diagonal; only its diagonal is ever written
     diag_augmented = J_augmented[m:].reshape(-1)[:: n + 1]
     alpha = 0.0  # Levenberg-Marquardt parameter
-    lwork = _gesdd_lwork(m + n, n)
     termination_status = None
     while True:
-        v, dv = _scaling_vector(x, g, lb, ub)
-        g_norm = np.abs(g * v).max()  # numpy's infinity norm
+        v, dv, g_norm = _scaling_vector(x, g, bounds)
         if g_norm < _TOL:
             termination_status = 1
         if termination_status is not None or nfev == max_nfev:
@@ -101,7 +96,7 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]  # a view
         diag_augmented[:] = diag_h**0.5
-        U, s, V = _svd(J_augmented, lwork)
+        U, s, V = _svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)
 
@@ -152,39 +147,40 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
     return TRFResult(x=x, cost=cost, fun=f_true, jac=J, status=termination_status)
 
 
-def _gesdd_lwork(m: int, n: int) -> int:
-    """The workspace size ``scipy.linalg.svd`` passes for an economy SVD."""
-    work, info = _GESDD_LWORK(m, n, compute_uv=True, full_matrices=False)
-    if info != 0:
-        raise ValueError(f"Internal work array size computation failed: {info}")
-    return int(work.real)
+def _svd(a: np.ndarray):
+    """``scipy.linalg.svd(a, full_matrices=False)`` for a float64 matrix.
 
-
-def _svd(a: np.ndarray, lwork: int):
-    """``scipy.linalg.svd(a, full_matrices=False)`` for a float64 matrix."""
+    ``u`` and ``vt`` come back in Fortran order, as scipy's do.
+    """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    u, s, vt, info = _GESDD(
-        a, compute_uv=True, lwork=lwork, full_matrices=False, overwrite_a=False
-    )
-    if info > 0:
-        raise LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
-    return u, s, vt
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return np.asfortranarray(u), s, np.asfortranarray(vt)
 
 
-def _scaling_vector(x, g, lb, ub):
-    """Coleman-Li scaling vector ``v`` and its derivative ``dv``.
+def _scaling_vector(x, g, bounds):
+    """Coleman-Li scaling vector ``v``, its derivative ``dv`` and ``max |g v|``.
 
-    Distance to the bound the anti-gradient points at, 1 where the
-    gradient is zero (both bounds are finite here).
+    ``v`` is the distance to the ``(lower, upper)`` bound in ``bounds``
+    the anti-gradient points at, 1 where the gradient is zero.  Python
+    floats give numpy's values exactly (comparisons, subtractions,
+    products and max only); a NaN product makes the norm NaN, as numpy's.
     """
-    # up / down: the anti-gradient points at the upper / lower bound
-    up, down = g < 0, g > 0
-    v = np.where(down, x - lb, np.where(up, ub - x, 1.0))
-    dv = np.where(down, 1.0, np.where(up, -1.0, 0.0))
-    return v, dv
+    v, dv = [], []
+    g_norm = 0.0
+    for xi, gi, (lo, hi) in zip(x.tolist(), g.tolist(), bounds):
+        if gi > 0:  # the anti-gradient points at the lower bound
+            vi, dvi = xi - lo, 1.0
+        elif gi < 0:
+            vi, dvi = hi - xi, -1.0
+        else:
+            vi, dvi = 1.0, 0.0
+        v.append(vi)
+        dv.append(dvi)
+        gv = abs(gi * vi)
+        if gv > g_norm or gv != gv:
+            g_norm = gv
+    return np.array(v), np.array(dv), g_norm
 
 
 def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):

@@ -93,8 +93,8 @@ class ExperimentConfig:
             )
         if not is_integer(self.repeats) or self.repeats < 1:
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if self.budget < 0:
-            raise ConfigError(f"budget must be >= 0, got {self.budget}")
+        if not is_integer(self.budget) or self.budget < 0:
+            raise ConfigError(f"budget must be an integer >= 0, got {self.budget!r}")
         if not is_integer(self.base_seed):
             raise ConfigError(f"seed must be an integer, got {self.base_seed!r}")
         sigma = self.noise_sigma
@@ -587,7 +587,7 @@ def _parse_objective(section) -> tuple[dict, int | None]:
             ObjectiveConfig, rest, "objective", _PULSE_KEYS, transmon=transmon
         )
         return {"objective": name, "objective_config": cfg}, cfg.dim
-    _require_keys(rest, ("noise_sigma", "shift", "dimension"), "objective")
+    _require_keys(rest, ("noise_sigma", "dimension"), "objective")
     dim = rest.pop("dimension", None)
     return {"objective": name, **rest}, dim
 

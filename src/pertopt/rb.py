@@ -46,16 +46,18 @@ def rb_ladder(
     count of at least one sequence per length; the names label the two
     settings in errors.
     """
-    if not is_integer(n_sequences) or n_sequences < 1:
-        raise ValueError(
-            f"{sequences_name} must be an integer >= 1, got {n_sequences!r}"
-        )
+    _check_n_sequences(n_sequences, sequences_name)
     ladder = tuple(int(m) for m in lengths)
     if len(ladder) < 3 or any(m < 0 for m in ladder):
         raise ValueError(
             f"{lengths_name} needs >= 3 non-negative entries, got {ladder}"
         )
     return ladder
+
+
+def _check_n_sequences(n_sequences, name: str = "n_sequences") -> None:
+    if not is_integer(n_sequences) or n_sequences < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n_sequences!r}")
 
 
 class RBFitError(RuntimeError):
@@ -254,8 +256,7 @@ def run_rb(
     lengths = np.asarray(lengths, dtype=int)
     if lengths.ndim != 1 or lengths.size < 1 or np.any(lengths < 0):
         raise ValueError("lengths must be a non-empty list of m >= 0")
-    if n_sequences < 1:
-        raise ValueError(f"n_sequences must be >= 1, got {n_sequences}")
+    _check_n_sequences(n_sequences)
     check_shots(shots)
     rng = np.random.default_rng(seed)
     group = clifford_group()

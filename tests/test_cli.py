@@ -233,6 +233,8 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         ("run", _with(RUN_CONFIG, ["repeats"], 1.5)),
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "rb_sequences"], 2.5)),
         ("tuneup", _with(TUNEUP_CONFIG, ["rough", "objective", "shots"], 2.5)),
+        ("run", _with(RUN_CONFIG, ["optimizer", "budget_evaluations"], 7.5)),
+        ("run", _with(RUN_CONFIG, ["objective", "shift"], [1])),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -241,7 +243,7 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         "null-theta-seed", "string-theta-seed", "float-theta-seed",
         "string-noise-sigma", "negative-noise-sigma", "string-seed",
         "fractional-n-samples", "fractional-repeats", "fractional-rb-sequences",
-        "fractional-shots",
+        "fractional-shots", "fractional-budget", "synthetic-shift",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

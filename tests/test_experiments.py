@@ -80,8 +80,9 @@ def test_config_validation():
         sphere_config(objective="rastrigin")
     with pytest.raises(ConfigError, match="repeats"):
         sphere_config(repeats=0)
-    with pytest.raises(ConfigError, match="budget"):
-        sphere_config(budget=-1)
+    for budget in (-1, 7.5, True, "10"):
+        with pytest.raises(ConfigError, match="budget"):
+            sphere_config(budget=budget)
     with pytest.raises(ConfigError, match="objective_config"):
         ExperimentConfig(
             name="x", objective="lx", estimator=EstimatorConfig(),
@@ -560,6 +561,16 @@ def test_config_dict_validation():
         experiment_config_from_dict(bad)
     with pytest.raises(ConfigError, match="invalid schedules"):
         experiment_config_from_dict(synthetic_dict(schedules={"a0": -1.0}))
+    with pytest.raises(ConfigError, match="budget must be an integer"):
+        bad = synthetic_dict()
+        bad["optimizer"]["budget_evaluations"] = 7.5
+        experiment_config_from_dict(bad)
+    # sphere and cubic have no shift; only the API's shifted quadratic reads it
+    for name in ("sphere", "cubic"):
+        with pytest.raises(ConfigError, match=r"unknown keys in objective: \['shift'\]"):
+            experiment_config_from_dict(synthetic_dict(
+                objective={"objective": name, "dimension": 3, "shift": [1]}
+            ))
 
 
 def test_list_fields_become_tuples():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, svd
 from scipy.optimize import curve_fit, least_squares
 from scipy.optimize._lsq.common import solve_lsq_trust_region
 from scipy.optimize._numdiff import approx_derivative
@@ -163,8 +163,9 @@ def test_rb_run_is_seeded():
 def test_rb_validation():
     with pytest.raises(ValueError, match="lengths"):
         run_rb(X90, (-1, 2), 4)
-    with pytest.raises(ValueError, match="n_sequences"):
-        run_rb(X90, (0, 2), 0)
+    for n_sequences in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_sequences"):
+            run_rb(X90, (0, 2), n_sequences)
     for shots in (-1, 2.5, True):
         with pytest.raises(ValueError, match="shots"):
             run_rb(X90, (0, 2), 4, shots=shots)
@@ -545,6 +546,30 @@ def test_trust_region_rank_threshold_matches_scipy(ratio):
     np.testing.assert_array_equal(step, expected_step)
     assert alpha == expected_alpha
     assert (alpha == 0.0) == (ratio > 1.0)
+
+
+def test_svd_is_scipys_economy_svd():
+    # the fit's SVD runs on numpy's LAPACK; its factors must equal scipy's
+    # bit for bit and keep scipy's Fortran order, or the products with them
+    # take other BLAS kernels and the search's last digits move
+    rng = np.random.default_rng(17)
+    random = rng.normal(size=(8, 3))
+    rank_deficient = np.outer(rng.normal(size=8), rng.normal(size=3))
+    rank_deficient[:, 2] = rank_deficient[:, 0] + rank_deficient[:, 1]
+    zero_rows = rng.normal(size=(8, 3))
+    zero_rows[5:] = 0.0
+    for a in (random, rank_deficient, zero_rows, np.zeros((8, 3))):
+        u, s, vt = _trf._svd(a)
+        expected = svd(a, full_matrices=False)
+        for got, want in zip((u, s, vt), expected):
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+        assert u.flags.f_contiguous and vt.flags.f_contiguous
+    for bad in (np.nan, np.inf, -np.inf):
+        a = random.copy()
+        a[3, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _trf._svd(a)
 
 
 def test_fit_reads_near_perfect_gate_on_short_ladder():
