@@ -17,7 +17,6 @@ import io
 import json
 import logging
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -48,6 +47,7 @@ from .transmon import (
     TransmonParams,
     average_gate_fidelity,
     check_shots,
+    is_finite_real,
     is_integer,
     rotation_unitary,
 )
@@ -98,7 +98,7 @@ class ExperimentConfig:
         if not is_integer(self.base_seed):
             raise ConfigError(f"seed must be an integer, got {self.base_seed!r}")
         sigma = self.noise_sigma
-        if not (isinstance(sigma, numbers.Real) and math.isfinite(sigma)) or sigma < 0:
+        if not is_finite_real(sigma) or sigma < 0:
             raise ConfigError(f"noise_sigma must be a finite number >= 0, got {sigma!r}")
         if self.clip_box is not None:
             box = self.clip_box

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -27,6 +26,9 @@ from .transmon import (
     evolve,
     hann_waveform,
     hann_windows,
+    integer_tuple,
+    is_finite_real,
+    is_integer,
     level_frequencies,
     measure_population,  # unused here; bench/tracing.py wraps this lookup site
     rotation_unitary,
@@ -57,15 +59,15 @@ class ObjectiveConfig:
     rb_sequences: int = 8
 
     def __post_init__(self) -> None:
-        if self.n_basis < 1:
-            raise ValueError(f"n_basis must be >= 1, got {self.n_basis}")
+        if not is_integer(self.n_basis) or self.n_basis < 1:
+            raise ValueError(f"n_basis must be an integer >= 1, got {self.n_basis!r}")
         for name in ("duration", "dt"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+            if not (is_finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         # raises unless dt divides the duration into whole segments
         hann_windows(self.n_basis, self.duration, self.dt)
-        ks = tuple(int(k) for k in self.k_list)
+        ks = integer_tuple(self.k_list, "k_list")
         object.__setattr__(self, "k_list", ks)
         if len(ks) < 1 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(
@@ -73,7 +75,7 @@ class ObjectiveConfig:
             )
         check_shots(self.shots)
         if self.active_dims is not None:
-            dims = tuple(int(i) for i in self.active_dims)
+            dims = integer_tuple(self.active_dims, "active_dims")
             object.__setattr__(self, "active_dims", dims)
             full = 2 * self.n_basis
             if len(dims) < 1 or len(set(dims)) != len(dims):
@@ -81,8 +83,10 @@ class ObjectiveConfig:
             if any(i < 0 or i >= full for i in dims):
                 raise ValueError(f"active_dims entries must lie in [0, {full})")
         if self.distortion is not None:
-            fir = tuple(float(x) for x in self.distortion)
-            object.__setattr__(self, "distortion", fir)
+            fir = tuple(self.distortion)
+            if not all(is_finite_real(x) for x in fir):
+                raise ValueError(f"distortion entries must be finite numbers, got {fir!r}")
+            object.__setattr__(self, "distortion", tuple(float(x) for x in fir))
         lengths = rb_ladder(
             self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
         )

@@ -16,10 +16,10 @@ import numpy as np
 
 from .estimators import (
     EstimatorConfig,
-    GradientEstimate,
     Objective,
     ObjectiveError,
     estimate_gradient,
+    evaluate_objective,
 )
 from .schedules import ScheduleSet
 
@@ -34,8 +34,8 @@ class OptimizationAborted(RuntimeError):
         self.trajectory = trajectory
 
 
-def _gradient_values(g_hat: GradientEstimate | np.ndarray) -> np.ndarray:
-    g = np.asarray(getattr(g_hat, "g_hat", g_hat), dtype=float)
+def _gradient_values(g_hat: np.ndarray) -> np.ndarray:
+    g = np.asarray(g_hat, dtype=float)
     if not np.all(np.isfinite(g)):
         bad = np.flatnonzero(~np.isfinite(g))
         raise ValueError(f"non-finite gradient entries at components {bad.tolist()}")
@@ -58,7 +58,7 @@ class AdamState:
 
 
 def sgd_step(
-    theta: np.ndarray, g_hat: GradientEstimate | np.ndarray, a_t: float
+    theta: np.ndarray, g_hat: np.ndarray, a_t: float
 ) -> np.ndarray:
     """Plain descent step ``theta - a_t * g_hat``."""
     theta = np.asarray(theta, dtype=float)
@@ -71,7 +71,7 @@ def sgd_step(
 def momentum_step(
     state: AdamState,
     theta: np.ndarray,
-    g_hat: GradientEstimate | np.ndarray,
+    g_hat: np.ndarray,
     a_t: float,
     beta_t: float,
 ) -> tuple[AdamState, np.ndarray]:
@@ -95,7 +95,7 @@ def momentum_step(
 def adam_step(
     state: AdamState,
     theta: np.ndarray,
-    g_hat: GradientEstimate | np.ndarray,
+    g_hat: np.ndarray,
     a_t: float,
     beta_t: float,
     gamma_t: float,
@@ -209,57 +209,45 @@ def run_optimization(
         raise ValueError("initial_theta must be a 1-D vector of length >= 1")
     cost = estimator.evals_per_update(theta.size)
 
-    initial_loss = _probe_loss(objective, theta, Trajectory(theta, np.nan))
-    trajectory = Trajectory(initial_theta=theta.copy(), initial_loss=initial_loss)
-
+    trajectory = Trajectory(initial_theta=theta.copy(), initial_loss=np.nan)
     state = AdamState.zeros(theta.size)
     n_evals = 0
     t = 0
-    while n_evals + cost <= budget:
-        t += 1
-        a_t = schedules.learning_rate(t)
-        c_t = schedules.perturbation_size(t)
-        beta_t = schedules.momentum_coeff(t)
-        gamma_t = schedules.second_moment_coeff(t)
-        try:
-            g_hat = estimate_gradient(objective, theta, estimator, c_t, rng)
-        except ObjectiveError as exc:
-            raise OptimizationAborted(
-                f"objective failed during update {t}: {exc}", trajectory
-            ) from exc
-        if update_rule == "sgd":
-            theta = sgd_step(theta, g_hat, a_t)
-        elif update_rule == "momentum":
-            state, theta = momentum_step(state, theta, g_hat, a_t, beta_t)
-        else:
-            state, theta = adam_step(
-                state, theta, g_hat, a_t, beta_t, gamma_t, schedules.delta
-            )
-        if clip_box is not None:
-            theta = np.clip(theta, clip_box[0], clip_box[1])
-        n_evals += cost
-        loss = _probe_loss(objective, theta, trajectory)
-        trajectory.records.append(
-            TrajectoryRecord(
-                iteration=t,
-                n_evals=n_evals,
-                loss=loss,
-                a_t=a_t,
-                c_t=c_t,
-                beta_t=beta_t,
-                theta=theta.copy(),
-            )
-        )
-    return trajectory
-
-
-def _probe_loss(objective: Objective, theta: np.ndarray, trajectory: "Trajectory") -> float:
     try:
-        value = float(objective(theta))
-    except Exception as exc:
+        trajectory.initial_loss = evaluate_objective(objective, theta, "loss")
+        while n_evals + cost <= budget:
+            t += 1
+            a_t = schedules.learning_rate(t)
+            c_t = schedules.perturbation_size(t)
+            beta_t = schedules.momentum_coeff(t)
+            gamma_t = schedules.second_moment_coeff(t)
+            g_hat = estimate_gradient(objective, theta, estimator, c_t, rng).g_hat
+            if update_rule == "sgd":
+                theta = sgd_step(theta, g_hat, a_t)
+            elif update_rule == "momentum":
+                state, theta = momentum_step(state, theta, g_hat, a_t, beta_t)
+            else:
+                state, theta = adam_step(
+                    state, theta, g_hat, a_t, beta_t, gamma_t, schedules.delta
+                )
+            if clip_box is not None:
+                theta = np.clip(theta, clip_box[0], clip_box[1])
+            n_evals += cost
+            loss = evaluate_objective(objective, theta, "loss")
+            trajectory.records.append(
+                TrajectoryRecord(
+                    iteration=t,
+                    n_evals=n_evals,
+                    loss=loss,
+                    a_t=a_t,
+                    c_t=c_t,
+                    beta_t=beta_t,
+                    theta=theta.copy(),
+                )
+            )
+    except ObjectiveError as exc:
         raise OptimizationAborted(
-            f"loss probe failed: {exc}", trajectory
+            f"objective failed after {trajectory.n_updates} updates: {exc}",
+            trajectory,
         ) from exc
-    if not np.isfinite(value):
-        raise OptimizationAborted("loss probe returned non-finite value", trajectory)
-    return value
+    return trajectory

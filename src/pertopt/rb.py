@@ -22,6 +22,7 @@ from ._trf import trf_bounds
 from .transmon import (
     check_shots,
     embed_qubit_gate,
+    integer_tuple,
     is_integer,
     measure_population,
     rotation_unitary,
@@ -47,7 +48,7 @@ def rb_ladder(
     settings in errors.
     """
     _check_n_sequences(n_sequences, sequences_name)
-    ladder = tuple(int(m) for m in lengths)
+    ladder = integer_tuple(lengths, lengths_name)
     if len(ladder) < 3 or any(m < 0 for m in ladder):
         raise ValueError(
             f"{lengths_name} needs >= 3 non-negative entries, got {ladder}"

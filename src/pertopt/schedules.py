@@ -11,7 +11,9 @@ never blocks a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .transmon import is_finite_real, is_integer
 
 
 def power_law_value(coeff: float, exponent: float, t: int) -> float:
@@ -56,6 +58,13 @@ class ScheduleSet:
     truncation_step: int | None = None
 
     def __post_init__(self) -> None:
+        coefficients = {f.name: getattr(self, f.name) for f in fields(self)}
+        step = coefficients.pop("truncation_step")
+        for name, value in coefficients.items():
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if step is not None and not is_integer(step):
+            raise ValueError(f"truncation_step must be an integer or null, got {step!r}")
         if self.a0 <= 0:
             raise ValueError(f"a0 must be > 0, got {self.a0}")
         if self.c0 <= 0:
@@ -68,7 +77,7 @@ class ScheduleSet:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.truncation_step is not None and self.truncation_step < 0:
+        if step is not None and step < 0:
             raise ValueError("truncation_step must be >= 0 when set")
 
     def learning_rate(self, t: int) -> float:

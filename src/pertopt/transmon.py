@@ -49,14 +49,14 @@ class TransmonParams:
     drive_scale: float = TWO_PI * 0.025
 
     def __post_init__(self) -> None:
-        if self.n_levels not in _ALLOWED_LEVELS:
+        if not is_integer(self.n_levels) or self.n_levels not in _ALLOWED_LEVELS:
             raise ValueError(
-                f"n_levels must be one of {_ALLOWED_LEVELS}, got {self.n_levels}"
+                f"n_levels must be one of {_ALLOWED_LEVELS}, got {self.n_levels!r}"
             )
-        if self.anharmonicity <= 0:
-            raise ValueError(f"anharmonicity must be > 0, got {self.anharmonicity}")
-        if self.drive_scale <= 0:
-            raise ValueError(f"drive_scale must be > 0, got {self.drive_scale}")
+        for name in ("anharmonicity", "drive_scale"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     @classmethod
     def from_mhz(
@@ -247,6 +247,23 @@ class PopulationMeasurement(NamedTuple):
 def is_integer(value) -> bool:
     """True for an int or a numpy integer, False for a bool or a float."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int or float (numpy's too), False for a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def integer_tuple(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ``ValueError`` if one is not an integer."""
+    values = tuple(values)
+    if not all(is_integer(v) for v in values):
+        raise ValueError(f"{name} entries must be integers, got {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def check_shots(shots) -> None:

@@ -235,6 +235,20 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         ("tuneup", _with(TUNEUP_CONFIG, ["rough", "objective", "shots"], 2.5)),
         ("run", _with(RUN_CONFIG, ["optimizer", "budget_evaluations"], 7.5)),
         ("run", _with(RUN_CONFIG, ["objective", "shift"], [1])),
+        ("run", _with(RUN_CONFIG, ["estimator"], {"estimator": "rsgf", "count_baseline": "no"})),
+        ("run", _with(RUN_CONFIG, ["schedules", "alpha"], float("nan"))),
+        ("run", _with(RUN_CONFIG, ["schedules", "a0"], float("inf"))),
+        ("run", _with(RUN_CONFIG, ["schedules", "c0"], True)),
+        ("run", _with(RUN_CONFIG, ["schedules", "truncation_step"], 10.5)),
+        ("run", _with(RUN_CONFIG, ["schedules", "truncation_step"], True)),
+        ("scan", _with(SCAN_CONFIG, ["objective", "k_list"], [1.5, 2.7])),
+        ("scan", _with(SCAN_CONFIG, ["objective", "active_dims"], [0.5, 10])),
+        ("scan", _with(SCAN_CONFIG, ["objective", "n_levels"], 3.0)),
+        ("scan", _with(SCAN_CONFIG, ["objective", "anharmonicity_mhz"], float("nan"))),
+        ("scan", _with(SCAN_CONFIG, ["objective", "drive_scale_mhz"], float("inf"))),
+        ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], [float("nan")])),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "rb_lengths"], [0, 2.5, 5])),
+        ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "lengths"], [0, 10.5, 30, 60])),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -244,6 +258,11 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         "string-noise-sigma", "negative-noise-sigma", "string-seed",
         "fractional-n-samples", "fractional-repeats", "fractional-rb-sequences",
         "fractional-shots", "fractional-budget", "synthetic-shift",
+        "string-count-baseline", "nan-alpha", "infinite-a0", "bool-c0",
+        "fractional-truncation-step", "bool-truncation-step", "fractional-k_list",
+        "fractional-active-dims", "float-n-levels", "nan-anharmonicity",
+        "infinite-drive-scale", "nan-distortion", "fractional-rb-lengths",
+        "fractional-final-lengths",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

@@ -10,16 +10,10 @@ import pytest
 from pertopt import (
     EstimatorConfig,
     ObjectiveError,
-    averaged_gradient,
     estimate_gradient,
     fdsa_gradient,
     rsgf_gradient,
     spsa_gradient,
-)
-from pertopt.estimators import (
-    rademacher,
-    rsgf_gradient_for_direction,
-    spsa_gradient_for_direction,
 )
 
 
@@ -31,9 +25,11 @@ class CountingObjective:
     def __init__(self, f):
         self.f = f
         self.calls = 0
+        self.points = []
 
     def __call__(self, theta):
         self.calls += 1
+        self.points.append(np.array(theta))
         return self.f(theta)
 
 
@@ -45,7 +41,6 @@ def test_fdsa_hand_value_on_sphere():
     # ((1.1)^2 - (0.9)^2) / 0.2 = 2 exactly; same for the zero coordinate
     np.testing.assert_allclose(est.g_hat, [2.0, 0.0], atol=1e-13)
     assert est.n_evaluations == 4
-    assert est.perturbation_used == 0.1
 
 
 def test_fdsa_exact_on_random_quadratics():
@@ -65,40 +60,28 @@ def test_fdsa_exact_on_random_quadratics():
 
 
 def test_spsa_hand_values_forced_directions():
+    # sphere at (1, 0): f(theta + c*delta) - f(theta - c*delta) = 4c*delta_0,
+    # so the estimate is 2*delta_0 / delta, e.g. (2, 2) or (2, -2)
     theta = np.array([1.0, 0.0])
-    est = spsa_gradient_for_direction(sphere, theta, 0.1, np.array([1.0, 1.0]))
-    # (1.22 - 0.82) / (0.2 * delta) with delta = (+1, +1)
-    np.testing.assert_allclose(est.g_hat, [2.0, 2.0], atol=1e-13)
-    assert est.n_evaluations == 2
-
-    est = spsa_gradient_for_direction(sphere, theta, 0.1, np.array([1.0, -1.0]))
-    np.testing.assert_allclose(est.g_hat, [2.0, -2.0], atol=1e-13)
-
-
-def test_spsa_rejects_zero_direction_entries():
-    with pytest.raises(ValueError, match="zero entry"):
-        spsa_gradient_for_direction(
-            sphere, np.zeros(2), 0.1, np.array([1.0, 0.0])
-        )
+    seen = set()
+    for seed in range(8):
+        delta = 2.0 * np.random.default_rng(seed).integers(0, 2, size=2) - 1.0
+        est = spsa_gradient(sphere, theta, 0.1, np.random.default_rng(seed))
+        np.testing.assert_allclose(est.g_hat, 2.0 * delta[0] / delta, atol=1e-13)
+        assert est.n_evaluations == 2
+        seen.add(tuple(delta[0] * delta))
+    assert seen == {(1.0, 1.0), (1.0, -1.0)}
 
 
 def test_rsgf_hand_value_forced_direction():
-    est = rsgf_gradient_for_direction(
-        sphere, np.array([1.0, 0.0]), 0.1, np.array([1.0, 0.0])
-    )
-    # baseline 1.0, perturbed 1.21: slope 2.1 along u = e_0
-    np.testing.assert_allclose(est.g_hat, [2.1, 0.0], atol=1e-13)
-    assert est.n_evaluations == 2
-
-
-def test_rsgf_reuses_supplied_baseline():
+    # baseline f(1, 0) = 1, so the slope along u is 2*u_0 + c*|u|^2
+    theta, c = np.array([1.0, 0.0]), 0.1
     f = CountingObjective(sphere)
-    est = rsgf_gradient_for_direction(
-        f, np.array([1.0, 0.0]), 0.1, np.array([1.0, 0.0]), baseline=1.0
-    )
-    assert f.calls == 1
-    assert est.n_evaluations == 1
-    np.testing.assert_allclose(est.g_hat, [2.1, 0.0], atol=1e-13)
+    u = np.random.default_rng(4).standard_normal(2)
+    est = rsgf_gradient(f, theta, c, np.random.default_rng(4))
+    np.testing.assert_allclose(est.g_hat, (2.0 * u[0] + c * (u @ u)) * u, atol=1e-13)
+    assert est.n_evaluations == f.calls == 2
+    np.testing.assert_array_equal(f.points[0], theta)  # the baseline
 
 
 def test_positive_perturbation_required():
@@ -115,8 +98,11 @@ def test_positive_perturbation_required():
 
 
 def test_rademacher_entries_are_fair_signs():
-    rng = np.random.default_rng(17)
-    draws = np.array([rademacher(rng, 8) for _ in range(4000)])
+    # at theta = 0 and c = 1 every "+" probe point is its direction
+    f = CountingObjective(sphere)
+    cfg = EstimatorConfig("spsa", n_samples=4000)
+    estimate_gradient(f, np.zeros(8), cfg, 1.0, np.random.default_rng(17))
+    draws = np.array(f.points[0::2])
     assert set(np.unique(draws)) == {-1.0, 1.0}
     # fair coin: mean of 32000 signs has sd ~ 0.0056
     assert abs(draws.mean()) < 0.02
@@ -193,6 +179,66 @@ def test_component_noise_scales_inversely_with_c(method):
     assert 1.7 <= ratio <= 2.3
 
 
+# ------------------------------------------------------ per-sample oracle
+
+
+def reference_estimate(f, theta, method, n_samples, c, rng):
+    """The estimate as per-sample loops: one draw and its probes at a time."""
+
+    def fdsa():
+        g = np.empty(theta.size)
+        for i in range(theta.size):
+            step = np.zeros(theta.size)
+            step[i] = c
+            g[i] = (f(theta + step) - f(theta - step)) / (2.0 * c)
+        return g
+
+    def spsa():
+        delta = 2.0 * rng.integers(0, 2, size=theta.size) - 1.0
+        return (f(theta + c * delta) - f(theta - c * delta)) / (2.0 * c * delta)
+
+    def rsgf():
+        u = rng.standard_normal(theta.size)
+        return ((f(theta + c * u) - baseline) / c) * u
+
+    if method == "rsgf":
+        baseline = f(theta)
+    sample = {"fdsa": fdsa, "spsa": spsa, "rsgf": rsgf}[method]
+    return np.mean([sample() for _ in range(n_samples)], axis=0)
+
+
+class NoisyObjective(CountingObjective):
+    """A rough noisy loss that owns its noise stream and records its calls."""
+
+    def __init__(self, seed):
+        noise = np.random.default_rng(seed)
+        super().__init__(
+            lambda x: float(np.sum(np.sin(3.0 * x)) + x @ x)
+            + 0.1 * noise.standard_normal()
+        )
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3])
+@pytest.mark.parametrize("method", ["fdsa", "spsa", "rsgf"])
+def test_estimate_matches_per_sample_oracle_bit_for_bit(method, n_samples):
+    cfg = EstimatorConfig(method, n_samples=n_samples)
+    for d in range(1, 6):
+        theta0 = np.random.default_rng(d).uniform(-1.0, 1.0, d)
+        f_ref, f_new = NoisyObjective(d), NoisyObjective(d)
+        rng_ref, rng_new = np.random.default_rng(50 + d), np.random.default_rng(50 + d)
+        # two updates in a row: each must leave both streams where the loops do
+        for theta, c in ((theta0, 0.07), (theta0[::-1] + 0.1, 0.03)):
+            want = reference_estimate(f_ref, theta, method, n_samples, c, rng_ref)
+            got = estimate_gradient(f_new, theta, cfg, c, rng_new)
+            assert got.g_hat.tobytes() == want.tobytes()
+            assert got.n_evaluations == f_new.calls == f_ref.calls
+            f_ref.calls = f_new.calls = 0
+        assert len(f_new.points) == len(f_ref.points)
+        for p_new, p_ref in zip(f_new.points, f_ref.points):
+            assert p_new.tobytes() == p_ref.tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 # ---------------------------------------------------------------- accounting
 
 
@@ -211,6 +257,9 @@ def test_estimator_config_validation():
         EstimatorConfig("newton")
     with pytest.raises(ValueError, match="n_samples"):
         EstimatorConfig("spsa", n_samples=0)
+    for flag in ("no", 1, 0, None):
+        with pytest.raises(ValueError, match="count_baseline"):
+            EstimatorConfig("rsgf", count_baseline=flag)
 
 
 def test_rsgf_samples_share_one_baseline():
@@ -230,15 +279,17 @@ def test_spsa_averaging_counts_all_calls():
     assert est.n_evaluations == 6
 
 
-def test_averaged_gradient_reduces_variance_and_sums_cost():
+def test_averaging_reduces_variance_and_sums_cost():
     rng = np.random.default_rng(5)
     theta = np.array([1.0, 2.0])
-    single = lambda: spsa_gradient(sphere, theta, 0.05, rng)
-    est = averaged_gradient(single, 16)
-    assert est.n_evaluations == 32
-    np.testing.assert_allclose(est.g_hat, 2.0 * theta, atol=1.0)
-    with pytest.raises(ValueError, match="n_samples"):
-        averaged_gradient(single, 0)
+    stds = {}
+    for n in (1, 16):
+        cfg = EstimatorConfig("spsa", n_samples=n)
+        draws = [estimate_gradient(sphere, theta, cfg, 0.05, rng) for _ in range(400)]
+        assert all(est.n_evaluations == 2 * n for est in draws)
+        stds[n] = np.std([est.g_hat for est in draws], axis=0, ddof=1)
+    # 16 independent samples shrink the spread by sqrt(16) = 4
+    assert np.all((0.18 <= stds[16] / stds[1]) & (stds[16] / stds[1] <= 0.32))
 
 
 def test_determinism_same_seed_same_estimate():

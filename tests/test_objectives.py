@@ -20,7 +20,7 @@ from pertopt import (
     run_rb,
     synthetic_objective,
 )
-from pertopt.estimators import _evaluate
+from pertopt.estimators import evaluate_objective
 from pertopt.objectives import ideal_excited_after_x90s
 
 TWO_LEVEL = TransmonParams(n_levels=2)
@@ -246,7 +246,7 @@ def test_bad_theta_raises_at_call_time(name, theta):
     with pytest.raises(ValueError, match="theta must be 1-D|finite"):
         objective(theta)
     with pytest.raises(ObjectiveError, match="probe baseline"):
-        _evaluate(objective, theta, "baseline")
+        evaluate_objective(objective, theta, "baseline")
 
 
 # -------------------------------------------------------------------- l_rb
@@ -304,8 +304,23 @@ def test_objective_config_validation():
         ObjectiveConfig(rb_lengths=(0, 5))
     with pytest.raises(ValueError, match="rb_sequences"):
         ObjectiveConfig(rb_sequences=0)
-    with pytest.raises(ValueError, match="n_basis"):
-        ObjectiveConfig(n_basis=0)
+    for n_basis in (0, 2.5, 10.0, True):
+        with pytest.raises(ValueError, match="n_basis"):
+            ObjectiveConfig(n_basis=n_basis)
+    # fractional entries are rejected, not truncated
+    for field, bad in (
+        ("k_list", (1.5, 2.7)), ("k_list", (1, 2.0)), ("k_list", "12"),
+        ("active_dims", (0.5, 10)), ("active_dims", (True,)),
+        ("rb_lengths", (0, 2.5, 5)),
+    ):
+        with pytest.raises(ValueError, match=field):
+            ObjectiveConfig(**{field: bad})
+    for fir in ((1.0, np.nan), (np.inf,), ("1.0",), (True,)):
+        with pytest.raises(ValueError, match="distortion"):
+            ObjectiveConfig(distortion=fir)
+    cfg = ObjectiveConfig(k_list=np.array([1, 3]), distortion=np.array([1, 0]))
+    assert cfg.k_list == (1, 3) and type(cfg.k_list[0]) is int
+    assert cfg.distortion == (1.0, 0.0) and type(cfg.distortion[0]) is float
     for bad in (0.0, -20.0, np.inf, np.nan, None, "20"):
         with pytest.raises(ValueError, match="duration must be a finite number"):
             ObjectiveConfig(duration=bad)

@@ -17,7 +17,6 @@ from pertopt import (
     run_optimization,
     sgd_step,
 )
-from pertopt.estimators import GradientEstimate
 
 
 def sphere(theta):
@@ -30,13 +29,6 @@ def sphere(theta):
 def test_sgd_step_exact_arithmetic():
     theta = sgd_step(np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.1)
     np.testing.assert_array_equal(theta, [0.95, 2.1])
-
-
-def test_sgd_step_accepts_gradient_estimate():
-    g = GradientEstimate(g_hat=np.array([1.0, 0.0]), n_evaluations=2,
-                         perturbation_used=0.1)
-    theta = sgd_step(np.zeros(2), g, 0.5)
-    np.testing.assert_array_equal(theta, [-0.5, 0.0])
 
 
 def test_sgd_step_rejects_negative_rate_and_bad_gradient():
@@ -401,6 +393,19 @@ def test_abort_on_non_finite_loss_probe():
         run_optimization(steep, EstimatorConfig("spsa"), "sgd",
                          ScheduleSet(), np.array([1.0]), budget=10, seed=0)
     assert info.value.trajectory.n_updates == 0
+
+
+def test_failed_initial_loss_probe_aborts_with_empty_trajectory():
+    def broken(theta):
+        raise RuntimeError("amplifier tripped")
+
+    with pytest.raises(OptimizationAborted, match="probe loss") as info:
+        run_optimization(broken, EstimatorConfig("spsa"), "sgd",
+                         ScheduleSet(), np.ones(2), budget=10, seed=0)
+    traj = info.value.trajectory
+    assert traj.n_updates == 0
+    assert np.isnan(traj.initial_loss)
+    np.testing.assert_array_equal(traj.initial_theta, [1.0, 1.0])
 
 
 def test_unknown_update_rule_and_bad_budget():

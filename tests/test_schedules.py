@@ -58,6 +58,22 @@ def test_schedule_set_validation_errors():
         ScheduleSet(gamma=-0.1)
     with pytest.raises(ValueError, match="delta"):
         ScheduleSet(delta=0.0)
+
+
+def test_schedule_coefficients_must_be_finite_numbers():
+    # a config file may spell NaN and Infinity; both used to fail mid-run
+    for name in ("a0", "alpha", "c0", "zeta", "beta0", "lam", "gamma", "delta"):
+        for bad in (np.nan, np.inf, -np.inf, True, "0.5", None):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                ScheduleSet(**{name: bad})
+
+
+def test_truncation_step_must_be_an_integer_or_none():
+    for bad in (10.5, 10.0, True, "3"):
+        with pytest.raises(ValueError, match="truncation_step"):
+            ScheduleSet(truncation_step=bad)
+    assert ScheduleSet(truncation_step=np.int64(3)).momentum_coeff(4) == 0.0
+    assert ScheduleSet(a0=1, alpha=np.float64(0.5)).learning_rate(4) == 0.5
     with pytest.raises(ValueError, match="truncation_step"):
         ScheduleSet(truncation_step=-1)
     with pytest.raises(ValueError, match="exponents"):

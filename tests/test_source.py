@@ -30,6 +30,20 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    # `from .rb import _helper` couples two modules through a name the
+    # first never promised to keep; a shared helper gets a public name
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert found == []
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only run-time dependency: scipy.linalg alone adds about
     # 20 MB of memory and 0.3 s to start-up, and the RB fit runs the in-repo

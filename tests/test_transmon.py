@@ -50,10 +50,15 @@ def test_from_mhz_matches_defaults():
 
 
 def test_level_count_validation():
-    with pytest.raises(ValueError, match="n_levels"):
-        TransmonParams(n_levels=5)
+    for n_levels in (5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="n_levels"):
+            TransmonParams(n_levels=n_levels)
+    for name in ("anharmonicity", "drive_scale"):
+        for bad in (0.0, -1.0, np.nan, np.inf, True):
+            with pytest.raises(ValueError, match=name):
+                TransmonParams(**{name: bad})
     with pytest.raises(ValueError, match="anharmonicity"):
-        TransmonParams(anharmonicity=0.0)
+        TransmonParams.from_mhz(anharmonicity_mhz=float("nan"))
 
 
 def test_lowering_operator_matrix():
