@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .transmon import is_integer
+from .transmon import check_fields
 
 Objective = Callable[[np.ndarray], float]
 
@@ -63,18 +63,13 @@ class EstimatorConfig:
     count_baseline: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.method not in _METHODS:
             raise ValueError(
                 f"unknown estimator {self.method!r}, expected one of {_METHODS}"
             )
-        if not is_integer(self.n_samples) or self.n_samples < 1:
-            raise ValueError(
-                f"n_samples must be an integer >= 1, got {self.n_samples!r}"
-            )
-        if not isinstance(self.count_baseline, bool):
-            raise ValueError(
-                f"count_baseline must be true or false, got {self.count_baseline!r}"
-            )
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
 
     def evals_per_update(self, dim: int) -> int:
         """Billed objective evaluations for one averaged gradient estimate."""

@@ -41,13 +41,15 @@ from .optimizers import (
     TrajectoryRecord,
     run_optimization,
 )
-from .rb import fit_rb_decay, interleaved_gate_fidelity, rb_ladder, run_rb, RBFitResult
+from .rb import (
+    RBFitResult, check_rb_ladder, fit_rb_decay, interleaved_gate_fidelity, run_rb,
+)
 from .schedules import ScheduleSet
 from .transmon import (
     TransmonParams,
     average_gate_fidelity,
+    check_fields,
     check_shots,
-    is_finite_real,
     is_integer,
     rotation_unitary,
 )
@@ -81,9 +83,7 @@ class ExperimentConfig:
     clip_box: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "initial_theta", np.asarray(self.initial_theta, dtype=float)
-        )
+        check_fields(self, ConfigError)
         if self.objective not in (*PULSE_LOSSES, *SYNTHETIC_OBJECTIVES):
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.update_rule not in UPDATE_RULES:
@@ -91,23 +91,14 @@ class ExperimentConfig:
                 f"unknown update rule {self.update_rule!r}, "
                 f"expected one of {UPDATE_RULES}"
             )
-        if not is_integer(self.repeats) or self.repeats < 1:
-            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not is_integer(self.budget) or self.budget < 0:
-            raise ConfigError(f"budget must be an integer >= 0, got {self.budget!r}")
-        if not is_integer(self.base_seed):
-            raise ConfigError(f"seed must be an integer, got {self.base_seed!r}")
-        sigma = self.noise_sigma
-        if not is_finite_real(sigma) or sigma < 0:
-            raise ConfigError(f"noise_sigma must be a finite number >= 0, got {sigma!r}")
-        if self.clip_box is not None:
-            box = self.clip_box
-            if np.ndim(box) != 1 or len(box) != 2:
-                raise ConfigError("clip_box must be [low, high]")
-            box = (float(box[0]), float(box[1]))
-            if not box[0] < box[1]:
-                raise ConfigError("clip_box low must be < high")
-            object.__setattr__(self, "clip_box", box)
+        if self.repeats < 1:
+            raise ConfigError(f"repeats must be >= 1, got {self.repeats!r}")
+        if self.budget < 0:
+            raise ConfigError(f"budget must be >= 0, got {self.budget!r}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if self.clip_box is not None and not self.clip_box[0] < self.clip_box[1]:
+            raise ConfigError("clip_box low must be < high")
         if self.objective in PULSE_LOSSES:
             if self.objective_config is None:
                 raise ConfigError(
@@ -339,8 +330,7 @@ class ScanConfig:
     max_cells: int = 10000
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values_1", np.asarray(self.values_1, dtype=float))
-        object.__setattr__(self, "values_2", np.asarray(self.values_2, dtype=float))
+        check_fields(self, ConfigError)
         if self.objective not in PULSE_LOSSES:
             raise ConfigError(f"scan objective must be a pulse loss, got {self.objective!r}")
         if (
@@ -348,10 +338,6 @@ class ScanConfig:
             or len(self.objective_config.active_dims) != 2
         ):
             raise ConfigError("landscape scans require exactly two active dims")
-        if self.values_1.ndim != 1 or self.values_2.ndim != 1:
-            raise ConfigError("scan value lists must be 1-D")
-        if self.values_1.size < 1 or self.values_2.size < 1:
-            raise ConfigError("scan value lists must be non-empty")
         if self.values_1.size * self.values_2.size > self.max_cells:
             raise ConfigError(
                 f"grid has {self.values_1.size * self.values_2.size} cells, "
@@ -395,10 +381,9 @@ class FinalRBConfig:
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lengths", rb_ladder(self.lengths, self.n_sequences))
+        check_fields(self)
+        check_rb_ladder(self.lengths, self.n_sequences)
         check_shots(self.shots)
-        if not is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -592,7 +577,7 @@ def _parse_objective(section) -> tuple[dict, int | None]:
     return {"objective": name, **rest}, dim
 
 
-def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
+def _parse_initial_theta(spec, dim: int | None) -> np.ndarray | list:
     if isinstance(spec, (list, tuple)):
         spec = {"kind": "values", "values": spec}
     if spec is None:
@@ -611,20 +596,17 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray:
     if kind == "random_uniform" and not is_integer(seed):
         # a null seed would draw from OS entropy: the run could not be repeated
         raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
+    if kind == "values":
+        # ExperimentConfig checks the entries
+        return spec.get("values", [])
     try:
-        if kind == "values":
-            theta = np.asarray(spec.get("values", []), dtype=float)
-        elif kind == "zeros":
-            theta = np.zeros(dim)
-        else:
-            # drawn once here so every algorithm/repeat shares the same point
-            rng = np.random.default_rng(seed)
-            theta = rng.uniform(spec.get("low", -0.5), spec.get("high", 0.5), size=dim)
+        if kind == "zeros":
+            return np.zeros(dim)
+        # drawn once here so every algorithm/repeat shares the same point
+        rng = np.random.default_rng(seed)
+        return rng.uniform(spec.get("low", -0.5), spec.get("high", 0.5), size=dim)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial_theta: {exc}") from exc
-    if theta.ndim != 1 or theta.size < 1:
-        raise ConfigError("initial_theta values must be a non-empty list")
-    return theta
 
 
 def experiment_config_from_dict(config: dict) -> ExperimentConfig:
@@ -664,8 +646,12 @@ def _scan_values(values, which: str):
     _require_keys(values, ("start", "stop", "num"), f"scan {which}")
     if len(values) != 3:
         raise ConfigError(f"scan {which} range needs start, stop and num")
+    num = values["num"]
+    if not is_integer(num) or num < 1:
+        raise ConfigError(f"scan {which} num must be an integer >= 1, got {num!r}")
     try:
-        return np.linspace(values["start"], values["stop"], int(values["num"]))
+        # ScanConfig refuses what a non-finite start or stop yields
+        return np.linspace(values["start"], values["stop"], num)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scan {which}: {exc}") from exc
 

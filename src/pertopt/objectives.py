@@ -18,17 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .rb import DEFAULT_RB_LENGTHS, fit_rb_decay, rb_ladder, run_rb
+from .rb import DEFAULT_RB_LENGTHS, check_rb_ladder, fit_rb_decay, run_rb
 from .transmon import (
     TransmonParams,
+    check_fields,
     check_shots,
     embed_qubit_gate,
     evolve,
     hann_waveform,
     hann_windows,
-    integer_tuple,
-    is_finite_real,
-    is_integer,
     level_frequencies,
     measure_population,  # unused here; bench/tracing.py wraps this lookup site
     rotation_unitary,
@@ -59,38 +57,30 @@ class ObjectiveConfig:
     rb_sequences: int = 8
 
     def __post_init__(self) -> None:
-        if not is_integer(self.n_basis) or self.n_basis < 1:
-            raise ValueError(f"n_basis must be an integer >= 1, got {self.n_basis!r}")
+        check_fields(self)
+        if self.n_basis < 1:
+            raise ValueError(f"n_basis must be >= 1, got {self.n_basis!r}")
         for name in ("duration", "dt"):
             value = getattr(self, name)
-            if not (is_finite_real(value) and value > 0):
+            if not value > 0:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         # raises unless dt divides the duration into whole segments
         hann_windows(self.n_basis, self.duration, self.dt)
-        ks = integer_tuple(self.k_list, "k_list")
-        object.__setattr__(self, "k_list", ks)
+        ks = self.k_list
         if len(ks) < 1 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(
                 f"k_list must be strictly increasing positive integers, got {ks}"
             )
         check_shots(self.shots)
         if self.active_dims is not None:
-            dims = integer_tuple(self.active_dims, "active_dims")
-            object.__setattr__(self, "active_dims", dims)
-            full = 2 * self.n_basis
+            dims, full = self.active_dims, 2 * self.n_basis
             if len(dims) < 1 or len(set(dims)) != len(dims):
                 raise ValueError("active_dims must be non-empty and unique")
             if any(i < 0 or i >= full for i in dims):
                 raise ValueError(f"active_dims entries must lie in [0, {full})")
-        if self.distortion is not None:
-            fir = tuple(self.distortion)
-            if not all(is_finite_real(x) for x in fir):
-                raise ValueError(f"distortion entries must be finite numbers, got {fir!r}")
-            object.__setattr__(self, "distortion", tuple(float(x) for x in fir))
-        lengths = rb_ladder(
+        check_rb_ladder(
             self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
         )
-        object.__setattr__(self, "rb_lengths", lengths)
 
     @property
     def dim(self) -> int:

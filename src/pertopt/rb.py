@@ -22,7 +22,6 @@ from ._trf import trf_bounds
 from .transmon import (
     check_shots,
     embed_qubit_gate,
-    integer_tuple,
     is_integer,
     measure_population,
     rotation_unitary,
@@ -37,28 +36,21 @@ DEFAULT_RB_LENGTHS = (
 )
 
 
-def rb_ladder(
-    lengths, n_sequences: int, lengths_name: str = "lengths",
+def check_rb_ladder(
+    lengths: tuple[int, ...], n_sequences: int, lengths_name: str = "lengths",
     sequences_name: str = "n_sequences",
-) -> tuple[int, ...]:
-    """``lengths`` as a tuple of ints, checked as a ladder a decay fits to.
+) -> None:
+    """Raise ``ValueError`` unless a decay can be fitted to the ladder.
 
-    The fit needs at least three non-negative lengths and an integer
-    count of at least one sequence per length; the names label the two
-    settings in errors.
+    The fit needs at least three non-negative lengths and at least one
+    sequence per length; the names label the two settings in errors.
     """
-    _check_n_sequences(n_sequences, sequences_name)
-    ladder = integer_tuple(lengths, lengths_name)
-    if len(ladder) < 3 or any(m < 0 for m in ladder):
+    if n_sequences < 1:
+        raise ValueError(f"{sequences_name} must be >= 1, got {n_sequences!r}")
+    if len(lengths) < 3 or any(m < 0 for m in lengths):
         raise ValueError(
-            f"{lengths_name} needs >= 3 non-negative entries, got {ladder}"
+            f"{lengths_name} needs >= 3 non-negative entries, got {lengths}"
         )
-    return ladder
-
-
-def _check_n_sequences(n_sequences, name: str = "n_sequences") -> None:
-    if not is_integer(n_sequences) or n_sequences < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n_sequences!r}")
 
 
 class RBFitError(RuntimeError):
@@ -254,10 +246,14 @@ def run_rb(
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
         raise ValueError("gate must be a square propagator with >= 2 levels")
+    # checked entry by entry: an int conversion would truncate a fraction
+    if np.ndim(lengths) != 1 or not all(map(is_integer, lengths)):
+        raise ValueError(f"lengths must be a 1-D list of integers, got {lengths!r}")
     lengths = np.asarray(lengths, dtype=int)
-    if lengths.ndim != 1 or lengths.size < 1 or np.any(lengths < 0):
+    if lengths.size < 1 or np.any(lengths < 0):
         raise ValueError("lengths must be a non-empty list of m >= 0")
-    _check_n_sequences(n_sequences)
+    if not is_integer(n_sequences) or n_sequences < 1:
+        raise ValueError(f"n_sequences must be an integer >= 1, got {n_sequences!r}")
     check_shots(shots)
     rng = np.random.default_rng(seed)
     group = clifford_group()

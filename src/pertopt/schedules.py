@@ -11,9 +11,9 @@ never blocks a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .transmon import is_finite_real, is_integer
+from .transmon import check_fields
 
 
 def power_law_value(coeff: float, exponent: float, t: int) -> float:
@@ -58,13 +58,7 @@ class ScheduleSet:
     truncation_step: int | None = None
 
     def __post_init__(self) -> None:
-        coefficients = {f.name: getattr(self, f.name) for f in fields(self)}
-        step = coefficients.pop("truncation_step")
-        for name, value in coefficients.items():
-            if not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if step is not None and not is_integer(step):
-            raise ValueError(f"truncation_step must be an integer or null, got {step!r}")
+        check_fields(self)
         if self.a0 <= 0:
             raise ValueError(f"a0 must be > 0, got {self.a0}")
         if self.c0 <= 0:
@@ -77,7 +71,7 @@ class ScheduleSet:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if step is not None and step < 0:
+        if self.truncation_step is not None and self.truncation_step < 0:
             raise ValueError("truncation_step must be >= 0 when set")
 
     def learning_rate(self, t: int) -> float:

@@ -19,8 +19,10 @@ with the static diagonal.  So a segment's propagator is
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -49,13 +51,14 @@ class TransmonParams:
     drive_scale: float = TWO_PI * 0.025
 
     def __post_init__(self) -> None:
-        if not is_integer(self.n_levels) or self.n_levels not in _ALLOWED_LEVELS:
+        check_fields(self)
+        if self.n_levels not in _ALLOWED_LEVELS:
             raise ValueError(
                 f"n_levels must be one of {_ALLOWED_LEVELS}, got {self.n_levels!r}"
             )
         for name in ("anharmonicity", "drive_scale"):
             value = getattr(self, name)
-            if not (is_finite_real(value) and value > 0):
+            if not value > 0:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     @classmethod
@@ -120,7 +123,7 @@ class PulseSequence:
             raise ValueError("I and Q must be 1-D arrays of equal length >= 1")
         if not (_all_finite(i_s) and _all_finite(q_s)):
             raise ValueError("pulse samples must be finite")
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails this comparison too
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.distortion is not None:
             fir = _float_vector(self.distortion)
@@ -258,12 +261,77 @@ def is_finite_real(value) -> bool:
     )
 
 
-def integer_tuple(values, name: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ``ValueError`` if one is not an integer."""
-    values = tuple(values)
-    if not all(is_integer(v) for v in values):
-        raise ValueError(f"{name} entries must be integers, got {values!r}")
-    return tuple(int(v) for v in values)
+# each annotation's kind as errors name it
+_KINDS = {
+    int: "an integer", float: "a finite number", bool: "true or false",
+    str: "a string", tuple[int, ...]: "a list of integers",
+    tuple[float, ...]: "a list of finite numbers",
+    tuple[float, float]: "a list of 2 finite numbers",
+    np.ndarray: "a non-empty 1-D list of finite numbers",
+}
+
+
+def _kind(annotation) -> str:
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        return f"{_kind(args[0])} or null"
+    return _KINDS.get(annotation) or f"a {annotation.__name__}"
+
+
+def _conform(annotation, value):
+    """``value`` as its field stores it; ``TypeError`` if of another kind."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        return None if value is None else _conform(args[0], value)
+    if annotation is np.ndarray:
+        array = np.array(_conform(tuple[float, ...], value))
+        if array.size < 1:
+            raise TypeError
+        return array
+    if typing.get_origin(annotation) is tuple:
+        # entry by entry: numpy would read "1" and True as numbers
+        if isinstance(value, str) or (args[-1] is not ... and len(value) != len(args)):
+            raise TypeError
+        return tuple(args[0](_conform(args[0], v)) for v in value)
+    accepts = {int: is_integer, float: is_finite_real}.get(annotation)
+    if not (accepts(value) if accepts else isinstance(value, annotation)):
+        raise TypeError
+    return value
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls) -> tuple:
+    """``(name, annotation, kind)`` of each field, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], _kind(hints[f.name])) for f in dataclasses.fields(cls)
+    )
+
+
+def check_fields(obj, error: type[Exception] = ValueError) -> None:
+    """Check each field of the dataclass ``obj`` against its annotation.
+
+    - ``int``: an integer (numpy's too), not a bool;
+    - ``float``: a finite int or float, not a bool;
+    - ``bool``: ``True`` or ``False``; ``str``: a string;
+    - ``tuple[T, ...]``, ``tuple[T, T]``: a list of ``T`` (``int`` or
+      ``float`` as above), stored as a tuple of ``T``;
+    - ``np.ndarray``: a non-empty 1-D list of finite numbers, no strings
+      or bools, stored as a new float array;
+    - ``X | None``: ``None`` or an ``X``; a dataclass: an instance of it.
+
+    The first field of another kind raises ``error("<field> must be
+    <kind>, got <value>")``.  Range and cross-field rules stay with each
+    class.
+    """
+    for name, annotation, kind in _field_types(type(obj)):
+        value = getattr(obj, name)
+        try:
+            stored = _conform(annotation, value)
+        except TypeError:
+            raise error(f"{name} must be {kind}, got {value!r}") from None
+        if stored is not value:
+            object.__setattr__(obj, name, stored)
 
 
 def check_shots(shots) -> None:

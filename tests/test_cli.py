@@ -207,6 +207,7 @@ def _with(config, path, value):
 
 
 _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
+_RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
 
 
 @pytest.mark.parametrize(
@@ -249,6 +250,13 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], [float("nan")])),
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "rb_lengths"], [0, 2.5, 5])),
         ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "lengths"], [0, 10.5, 30, 60])),
+        ("run", _with(RUN_CONFIG, ["optimizer", "clip_box"], ["-1", "1"])),
+        ("run", _with(RUN_CONFIG, ["optimizer", "clip_box"], [True, 2])),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], [0.0, float("nan")])),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], [0.0, float("nan")])),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"num": 2.5})),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"num": True})),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"start": float("nan")})),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -262,7 +270,9 @@ _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
         "fractional-truncation-step", "bool-truncation-step", "fractional-k_list",
         "fractional-active-dims", "float-n-levels", "nan-anharmonicity",
         "infinite-drive-scale", "nan-distortion", "fractional-rb-lengths",
-        "fractional-final-lengths",
+        "fractional-final-lengths", "string-clip-box", "bool-clip-box",
+        "nan-initial-theta", "nan-scan-value", "fractional-num", "bool-num",
+        "nan-range-start",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,59 @@ def test_list_fields_become_tuples():
     assert cfg.distortion == (1.0, 0.5) and cfg.rb_lengths == (0, 1, 2)
     hash(cfg)  # frozen and hashable once every list is a tuple
     assert FinalRBConfig(lengths=[0, 5, 9]).lengths == (0, 5, 9)
+
+
+# one valid instance of each config dataclass; every field is replaced
+# in turn by values of the wrong kind for its annotation
+_SCAN_OBJECTIVE = ObjectiveConfig(transmon=TWO_LEVEL, active_dims=(0, 10))
+CONFIG_INSTANCES = (
+    pulse_config(objective_config=_SCAN_OBJECTIVE, clip_box=(-1.0, 1.0)),
+    ScanConfig("lx", _SCAN_OBJECTIVE, values_1=[0.0, 0.5], values_2=[0.0]),
+    FinalRBConfig(),
+    ObjectiveConfig(active_dims=(0, 10), distortion=(1.0, 0.5)),
+    TransmonParams(),
+    EstimatorConfig(),
+    ScheduleSet(truncation_step=10),
+)
+
+
+def _wrong_kinds(annotation):
+    """Values that ``annotation`` does not admit, for a field of that type."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        (annotation,) = (a for a in args if a is not type(None))
+        args = typing.get_args(annotation)
+    if annotation is str:
+        return [1, None]
+    wrong = ["x"]  # a string for any other field
+    if annotation is int:
+        wrong += [True, 2.5]
+    elif annotation is float:
+        wrong += [True, float("nan")]
+    elif annotation is np.ndarray or typing.get_origin(annotation) is tuple:
+        entry = args[0] if args else float
+        good = 1 if entry is int else 0.5
+        size = len(args) if args and args[-1] is not Ellipsis else 2
+        # a string entry, a bool entry, a nested list
+        for bad in ("1", True, [good]):
+            wrong.append([bad] + [good] * (size - 1))
+        wrong.append([2.5] * size if entry is int else [float("nan")] * size)
+        if not args or args[-1] is not Ellipsis:
+            wrong.append([])  # an array or a pair needs entries
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "instance", CONFIG_INSTANCES, ids=lambda obj: type(obj).__name__
+)
+def test_every_config_field_refuses_a_wrong_kind(instance):
+    cls = type(instance)
+    error = ConfigError if cls in (ExperimentConfig, ScanConfig) else ValueError
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        for bad in _wrong_kinds(hints[field.name]):
+            with pytest.raises(error, match=rf"^{field.name} must be "):
+                dataclasses.replace(instance, **{field.name: bad})
 
 
 def test_final_rb_config_validation():

@@ -161,8 +161,10 @@ def test_rb_run_is_seeded():
 
 
 def test_rb_validation():
-    with pytest.raises(ValueError, match="lengths"):
-        run_rb(X90, (-1, 2), 4)
+    # a fractional or bool length is refused, not truncated
+    for lengths in ((-1, 2), (0, 2.5, 5), (0, True, 5), 5, ((0, 2),)):
+        with pytest.raises(ValueError, match="lengths"):
+            run_rb(X90, lengths, 2, seed=1)
     for n_sequences in (0, 2.5, True):
         with pytest.raises(ValueError, match="n_sequences"):
             run_rb(X90, (0, 2), n_sequences)

@@ -44,6 +44,39 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+CONFIG_CLASSES = {
+    "ExperimentConfig", "ScanConfig", "FinalRBConfig", "ObjectiveConfig",
+    "TransmonParams", "EstimatorConfig", "ScheduleSet",
+}
+
+
+def test_config_classes_check_every_field_first():
+    # check_fields types each field from its annotation, so a field added
+    # to a config class is checked without a rule of its own; the rest of
+    # __post_init__ holds only range and cross-field rules
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                found[node.name] = next(
+                    item for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__post_init__"
+                )
+    assert set(found) == CONFIG_CLASSES
+    for name, post_init in found.items():
+        first = post_init.body[0]
+        assert isinstance(first, ast.Expr) and isinstance(first.value, ast.Call), name
+        assert ast.unparse(first.value.func) == "check_fields", name
+        assert ast.unparse(first.value.args[0]) == "self", name
+        calls = {
+            ast.unparse(node.func)
+            for node in ast.walk(post_init) if isinstance(node, ast.Call)
+        }
+        assert not calls & {"is_integer", "is_finite_real", "object.__setattr__"}, name
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only run-time dependency: scipy.linalg alone adds about
     # 20 MB of memory and 0.3 s to start-up, and the RB fit runs the in-repo

@@ -116,8 +116,9 @@ def test_pulse_sequence_validation():
         PulseSequence(i_samples=[1.0, 2.0], q_samples=[1.0])
     with pytest.raises(ValueError, match="finite"):
         PulseSequence(i_samples=[np.inf], q_samples=[0.0])
-    with pytest.raises(ValueError, match="dt"):
-        PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=0.0)
+    for dt in (0.0, np.nan):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
 
 
 def test_fir_distortion_shifts_and_scales_samples():
