@@ -50,6 +50,7 @@ from .transmon import (
     average_gate_fidelity,
     check_fields,
     check_shots,
+    is_finite_real,
     is_integer,
     rotation_unitary,
 )
@@ -599,13 +600,17 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray | list:
     if kind == "values":
         # ExperimentConfig checks the entries
         return spec.get("values", [])
+    if kind == "zeros":
+        return np.zeros(dim)
+    low, high = spec.get("low", -0.5), spec.get("high", 0.5)
+    if not (is_finite_real(low) and is_finite_real(high)):
+        raise ConfigError(
+            f"initial_theta low and high must be finite numbers, got {low!r}, {high!r}"
+        )
     try:
-        if kind == "zeros":
-            return np.zeros(dim)
         # drawn once here so every algorithm/repeat shares the same point
-        rng = np.random.default_rng(seed)
-        return rng.uniform(spec.get("low", -0.5), spec.get("high", 0.5), size=dim)
-    except (TypeError, ValueError) as exc:
+        return np.random.default_rng(seed).uniform(low, high, size=dim)
+    except (OverflowError, ValueError) as exc:  # high < low, or an overflowing width
         raise ConfigError(f"invalid initial_theta: {exc}") from exc
 
 
@@ -649,11 +654,12 @@ def _scan_values(values, which: str):
     num = values["num"]
     if not is_integer(num) or num < 1:
         raise ConfigError(f"scan {which} num must be an integer >= 1, got {num!r}")
-    try:
-        # ScanConfig refuses what a non-finite start or stop yields
-        return np.linspace(values["start"], values["stop"], num)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scan {which}: {exc}") from exc
+    for name in ("start", "stop"):
+        if not is_finite_real(values[name]):
+            raise ConfigError(
+                f"scan {which} {name} must be a finite number, got {values[name]!r}"
+            )
+    return np.linspace(values["start"], values["stop"], num)
 
 
 def scan_config_from_dict(config: dict) -> ScanConfig:

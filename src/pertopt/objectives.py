@@ -25,9 +25,9 @@ from .transmon import (
     check_shots,
     embed_qubit_gate,
     evolve,
+    excited_frequency,
     hann_waveform,
     hann_windows,
-    level_frequencies,
     measure_population,  # unused here; bench/tracing.py wraps this lookup site
     rotation_unitary,
 )
@@ -170,8 +170,7 @@ def _population_losses(
             for _ in range(k - k_prev):
                 psi = u @ psi
             k_prev = k
-            excited = level_frequencies(np.abs(psi) ** 2, cfg.shots, rng)[1]
-            error += abs(target - float(excited))
+            error += abs(target - excited_frequency(np.abs(psi) ** 2, cfg.shots, rng))
         losses.append(error / len(targets))
     return losses
 
@@ -216,11 +215,13 @@ def make_pulse_objective(
     noise and benchmark sequences deterministically), and the prepared
     states and the ideal targets per repetition count are built.  ``cfg``
     has already checked the pulse geometry and the repetition counts,
-    building the cached Hann windows.  Each call runs ``pulse_propagator``
-    and, for the population losses, draws once per repetition count from
-    ``|psi|**2``; ``l_rb`` runs RB and fits its decay.  A wrong-length or
-    non-finite ``theta`` raises ``ValueError`` at call time, and so does a
-    loss that needs an rng (shots > 0, or ``l_rb``) when none was given.
+    building the cached Hann windows.  Each call runs ``pulse_propagator``,
+    or reuses the propagator of the last theta simulated if theta has its
+    float64 bytes; the population losses then draw once per repetition
+    count from ``|psi|**2``, and ``l_rb`` runs RB and fits its decay, fresh
+    on every call.  A wrong-length or non-finite ``theta`` raises
+    ``ValueError`` at call time, and so does a loss that needs an rng
+    (shots > 0, or ``l_rb``) when none was given.
     """
     if name not in PULSE_LOSSES:
         raise ValueError(
@@ -234,11 +235,19 @@ def make_pulse_objective(
     elif cfg.shots > 0:
         missing_rng = "shot-sampled losses require an rng (Generator or seed)"
     readouts = None if name == "l_rb" else _readouts(name, cfg)
+    # the last theta simulated (its float64 bytes) and its propagator
+    last = [None, None]
 
     def objective(theta: np.ndarray) -> float:
         if missing_rng is not None:
             raise ValueError(missing_rng)
-        u = pulse_propagator(theta, cfg)
+        # an RSGF baseline repeats the loss probe's theta: reuse its
+        # propagator, but draw the noise fresh
+        key = np.shape(theta), np.asarray(theta, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, pulse_propagator(theta, cfg)
+            last[1].setflags(write=False)
+        u = last[1]
         if readouts is None:
             return _rb_loss(u, cfg, rng)
         losses = _population_losses(u, readouts, cfg, rng)

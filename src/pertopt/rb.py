@@ -258,7 +258,6 @@ def run_rb(
     rng = np.random.default_rng(seed)
     group = clifford_group()
     compiled = compile_cliffords(group, gate)
-    table = group.multiplication.astype(np.uint8)
     step_matrices = compiled
     if interleaved:
         # fold the gate under test (an X90 slot) into every step
@@ -302,17 +301,21 @@ def run_rb(
     for s, k in enumerate(n_active):
         steps = pairs.take(pair_index[s, :k], axis=0)
         psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
+    # the group product of a then b is products[a * n_group + b]: one flat
+    # take per round, cheaper than indexing the 2-D table by two arrays;
+    # uint16 holds every flat index and keeps a long ladder's blocks small
+    table = group.multiplication.astype(np.uint16)
+    n_group, products = len(group), table.ravel()
     composite = np.zeros(row_lengths.size, dtype=np.uint8)
     for li, m in enumerate(lengths):
         start = slot[li] * n_sequences
-        block = draws[:m, start:start + n_sequences]
+        block = draws[:m, start:start + n_sequences].astype(np.uint16)
         if interleaved:
-            block = table[block, group.x90_element]
+            block = table[:, group.x90_element].take(block)
         while len(block) > 1:
             half = len(block) // 2
-            block = np.concatenate(
-                (table[block[0:2 * half:2], block[1::2]], block[2 * half:])
-            )
+            pair = block[0:2 * half:2] * n_group + block[1::2]
+            block = np.concatenate((products.take(pair), block[2 * half:]))
         if m:
             composite[start:start + n_sequences] = block[0]
     recovery = compiled[group.inverse[composite]]

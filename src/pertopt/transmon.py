@@ -191,14 +191,14 @@ def _evolve_operators(params: TransmonParams) -> tuple[np.ndarray, ...]:
     """Read-only pulse-independent arrays of ``evolve``.
 
     The static Hamiltonian, the real drive operator ``(drive_scale/2)
-    (a + ad)``, the level indices and the identity.
+    (a + ad)``, the imaginary level indices ``1j * k`` and the identity.
     """
     n = params.n_levels
     a = lowering_operator(n)
     levels = np.arange(n, dtype=float)
     h_static = np.diag(-(params.anharmonicity / 2.0) * levels * (levels - 1.0))
     x_drive = 0.5 * params.drive_scale * (a + a.T)
-    ops = (h_static, x_drive, levels, np.eye(n))
+    ops = (h_static, x_drive, 1j * levels, np.eye(n))
     for op in ops:
         op.setflags(write=False)
     return ops
@@ -214,11 +214,12 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
     left, in about ``log2(n_segments)`` batched products.
     """
     i_s, q_s = pulse.effective_samples()
-    h_static, x_drive, levels, eye = _evolve_operators(params)
+    h_static, x_drive, i_levels, eye = _evolve_operators(params)
     energies, modes = np.linalg.eigh(
         h_static + np.hypot(i_s, q_s)[:, None, None] * x_drive
     )
-    frame = np.exp(1j * (np.arctan2(q_s, i_s)[:, None] * levels))
+    # phi * 1j k has the imaginary part phi k of 1j * (phi k), so the same bits
+    frame = np.exp(np.arctan2(q_s, i_s)[:, None] * i_levels)
     # D V per segment; V is real, so (D V)^dag = conj(D V)^T
     frame_modes = frame[:, :, None] * modes
     phases = np.exp(-1j * pulse.dt * energies)
@@ -346,24 +347,27 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be >= 0, got {shots}")
 
 
-def level_frequencies(
-    probs: np.ndarray, shots: int, rng: np.random.Generator | None
-) -> np.ndarray:
-    """Level frequencies of one state's ``|psi|**2``, or of one per column.
-
-    ``probs`` itself at ``shots = 0``, else one multinomial draw per state
-    from the Generator ``rng``, in column order.  Raises ``ValueError`` if
-    a state's norm deviates from 1 by more than 1e-9.
-    """
+def _checked_norm(probs: np.ndarray):
+    """Each state's total of ``probs``; ``ValueError`` if one is off 1 by > 1e-9."""
     total = probs.sum(axis=0)
     drift = abs(total - 1.0)
     if drift.ndim:  # a batch: its worst state (NaN if any state is NaN)
         drift = drift.max()
     if not drift <= 1e-9:
         raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
+    return total
+
+
+def excited_frequency(probs: np.ndarray, shots: int, rng: np.random.Generator) -> float:
+    """Measured excited-level frequency of one state's ``|psi|**2``.
+
+    ``probs[1]`` at ``shots = 0``, else level 1's count over ``shots`` in one
+    multinomial draw from ``rng``: ``measure_population(...).excited``'s bits.
+    """
+    total = _checked_norm(probs)
     if shots == 0:
-        return probs
-    return rng.multinomial(shots, (probs / total).T).T / shots
+        return float(probs[1])
+    return float(rng.multinomial(shots, probs / total)[1] / shots)
 
 
 def measure_population(
@@ -378,8 +382,8 @@ def measure_population(
     row in order.  ``shots=0`` returns exact populations; ``shots>0``
     draws one multinomial sample over all levels per state (an ``rng`` is
     then required).  Leakage aggregates every level above the first
-    excited state.  The arithmetic and the draws are
-    ``level_frequencies``', which the pulse losses call directly.
+    excited state.  Raises ``ValueError`` if a state's norm deviates from
+    1 by more than 1e-9.
     """
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[-1] < 2:
@@ -392,7 +396,9 @@ def measure_population(
             raise ValueError("shot sampling requires an rng (Generator or seed)")
         rng = np.random.default_rng(rng)
     # the transpose puts levels first, so one code path serves both shapes
-    freq = level_frequencies((np.abs(state) ** 2).T, shots, rng)
+    probs = (np.abs(state) ** 2).T
+    total = _checked_norm(probs)
+    freq = probs if shots == 0 else rng.multinomial(shots, (probs / total).T).T / shots
     ground, excited, leakage = freq[0], freq[1], freq[2:].sum(axis=0)
     if state.ndim == 1:
         return PopulationMeasurement(float(ground), float(excited), float(leakage))

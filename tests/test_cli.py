@@ -257,6 +257,10 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"num": 2.5})),
         ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"num": True})),
         ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"start": float("nan")})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"low": float("nan")})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"low": True, "high": 2})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"low": -1e308, "high": 1e308})),
+        ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"start": True})),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -272,7 +276,8 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "infinite-drive-scale", "nan-distortion", "fractional-rb-lengths",
         "fractional-final-lengths", "string-clip-box", "bool-clip-box",
         "nan-initial-theta", "nan-scan-value", "fractional-num", "bool-num",
-        "nan-range-start",
+        "nan-range-start", "nan-theta-low", "bool-theta-low",
+        "overflowing-theta-range", "bool-range-start",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

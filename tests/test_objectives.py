@@ -6,9 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import pertopt.objectives
 from pertopt import (
+    EstimatorConfig,
     ObjectiveConfig,
     ObjectiveError,
+    PulseSequence,
+    ScheduleSet,
     TransmonParams,
     embed_qubit_gate,
     evolve,
@@ -17,6 +21,7 @@ from pertopt import (
     make_pulse_objective,
     measure_population,
     rotation_unitary,
+    run_optimization,
     run_rb,
     synthetic_objective,
 )
@@ -171,9 +176,10 @@ def _reference_population_loss(name, theta, cfg, rng):
 
 
 def test_objective_matches_an_independent_reference_bit_for_bit():
-    # the objective does its pulse-independent work once; every value must
-    # still be the loss rebuilt from the simulator's public pieces, draw for
-    # draw from the same stream
+    # the objective does its pulse-independent work once and reuses the
+    # propagator of a repeated theta; every value must still be the loss
+    # rebuilt from the simulator's public pieces, draw for draw from the
+    # same stream
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -211,10 +217,13 @@ def test_objective_matches_an_independent_reference_bit_for_bit():
         objective = make_pulse_objective(name, cfg, seed)
         rng = np.random.default_rng(seed)
         for theta in np.random.default_rng(seed).uniform(-0.4, 0.4, (4, cfg.dim)):
-            value = objective(theta)
-            assert type(value) is float
-            expected = _reference_population_loss(name, theta, cfg, rng)
-            assert value.hex() == expected.hex()
+            # each theta twice in a row, as an RSGF baseline follows the
+            # loss probe; the second time as a copy
+            for probe in (theta, theta.copy()):
+                value = objective(probe)
+                assert type(value) is float
+                expected = _reference_population_loss(name, theta, cfg, rng)
+                assert value.hex() == expected.hex()
 
     check()
 
@@ -225,9 +234,61 @@ def test_rb_objective_matches_run_rb_and_its_fit_bit_for_bit():
     rng = np.random.default_rng(21)
     for theta in pulse(a1=0.5) + np.random.default_rng(22).uniform(-0.1, 0.1, (3, 20)):
         u = _reference_propagator(theta, cfg)
-        data = run_rb(u, cfg.rb_lengths, cfg.rb_sequences, cfg.shots, rng)
-        decay = fit_rb_decay(data.lengths, data.survival).decay_rate
-        assert objective(theta).hex() == max(0.0, (1.0 - decay) * 100.0).hex()
+        # a repeated theta draws fresh Clifford sequences
+        for _ in range(2):
+            data = run_rb(u, cfg.rb_lengths, cfg.rb_sequences, cfg.shots, rng)
+            decay = fit_rb_decay(data.lengths, data.survival).decay_rate
+            assert objective(theta).hex() == max(0.0, (1.0 - decay) * 100.0).hex()
+
+
+def _count_calls(monkeypatch, names):
+    """Replace each ``pertopt.objectives`` name by a counting stand-in."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(pertopt.objectives, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            if _name == "evolve":  # the benchmark counts the pulse's segments
+                assert isinstance(args[0], PulseSequence)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pertopt.objectives, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, layers",
+    [
+        ("lx", {"hann_waveform", "evolve"}),
+        ("l_combined", {"hann_waveform", "evolve"}),
+        ("l_rb", {"hann_waveform", "evolve", "run_rb", "fit_rb_decay"}),
+    ],
+)
+def test_losses_reach_each_layer_through_the_module_lookups(monkeypatch, name, layers):
+    # the benchmark times and counts its layers by wrapping these names on
+    # pertopt.objectives; a loss that bypassed them would read as no work
+    counts = _count_calls(
+        monkeypatch, ("hann_waveform", "evolve", "run_rb", "fit_rb_decay")
+    )
+    cfg = exact_cfg(shots=100, rb_lengths=(0, 2, 5), rb_sequences=2)
+    objective = make_pulse_objective(name, cfg, 3)
+    for theta in (pulse(a1=0.5), pulse(a1=0.4)):
+        objective(theta)
+    assert counts == {layer: 2 if layer in layers else 0 for layer in counts}
+
+
+def test_rsgf_baseline_reuses_the_loss_probes_propagator(monkeypatch):
+    # each update's baseline is the theta its loss probe just simulated
+    counts = _count_calls(monkeypatch, ("evolve",))
+    objective = make_pulse_objective("lx", ObjectiveConfig(shots=1000), 4)
+    n_samples = 2
+    trajectory = run_optimization(
+        objective, EstimatorConfig("rsgf", n_samples), "adam", ScheduleSet(),
+        np.zeros(20), budget=12, seed=5,
+    )
+    assert trajectory.n_updates == 6
+    assert counts["evolve"] == 1 + trajectory.n_updates * (n_samples + 1)
 
 
 @pytest.mark.parametrize(
