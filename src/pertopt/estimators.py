@@ -133,7 +133,8 @@ def estimate_gradient(
             rows = (diff / (2.0 * c)).reshape(n, d)
         else:
             rows = diff[:, None] / (2.0 * c * delta)
-    return GradientEstimate(g_hat=rows.mean(axis=0), n_evaluations=len(points))
+    # the sum over samples, then one division: the bits of rows.mean(axis=0)
+    return GradientEstimate(g_hat=rows.sum(axis=0) / n, n_evaluations=len(points))
 
 
 def fdsa_gradient(f: Objective, theta: np.ndarray, c: float) -> GradientEstimate:

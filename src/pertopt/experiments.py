@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
-import io
 import json
 import logging
 import math
@@ -94,6 +93,8 @@ class ExperimentConfig:
             )
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats!r}")
+        if self.base_seed < 0:  # np.random.SeedSequence refuses it mid-run
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.budget < 0:
             raise ConfigError(f"budget must be >= 0, got {self.budget!r}")
         if self.noise_sigma < 0:
@@ -225,34 +226,34 @@ def _write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue()
+def _csv_text(rows) -> str:
+    """``rows`` of fields as ``csv.writer`` writes them: comma-separated,
+    each row ending in ``\\r\\n``.  No field written here needs quoting
+    (integers, ``repr`` floats, column names, empty cells), so each row is
+    joined directly."""
+    return "".join([",".join(row) + "\r\n" for row in rows])
+
+
+def _format_floats(values) -> list[str]:
+    """``_format_float`` of each entry of a float vector."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 _CSV_COLUMNS = ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]
 
 
 def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> None:
-    dim = traj.initial_theta.size
+    dim, run = traj.initial_theta.size, str(run_id)
     rows = [_CSV_COLUMNS + [f"theta_{i}" for i in range(dim)]]
     rows.append(
-        [str(run_id), "0", "0", _format_float(traj.initial_loss), "", "", ""]
-        + [_format_float(x) for x in traj.initial_theta]
+        [run, "0", "0", _format_float(traj.initial_loss), "", "", ""]
+        + _format_floats(traj.initial_theta)
     )
     for rec in traj.records:
         rows.append(
-            [
-                str(run_id),
-                str(rec.iteration),
-                str(rec.n_evals),
-                _format_float(rec.loss),
-                _format_float(rec.a_t),
-                _format_float(rec.c_t),
-                _format_float(rec.beta_t),
-            ]
-            + [_format_float(x) for x in rec.theta]
+            [run, str(rec.iteration), str(rec.n_evals), _format_float(rec.loss),
+             _format_float(rec.a_t), _format_float(rec.c_t), _format_float(rec.beta_t)]
+            + _format_floats(rec.theta)
         )
     _write_atomic(path, _csv_text(rows))
 
@@ -290,28 +291,27 @@ def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRe
     """Per-evaluation-count mean/std of loss over aligned repeats."""
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    grids = [
-        np.array([0] + [rec.n_evals for rec in t.records]) for t in trajectories
-    ]
-    if any(g.shape != grids[0].shape or np.any(g != grids[0]) for g in grids[1:]):
+    grids = [[0] + [rec.n_evals for rec in t.records] for t in trajectories]
+    if any(g != grids[0] for g in grids[1:]):
         raise ValueError("trajectories have misaligned evaluation grids")
     losses = np.array(
         [[t.initial_loss] + [rec.loss for rec in t.records] for t in trajectories]
     )
+    # one row per evaluation count, reduced along its contiguous last axis:
+    # each row sums pairwise as np.mean/np.std of that column alone would
+    columns = np.ascontiguousarray(losses.T)
+    means, stds = columns.mean(axis=1).tolist(), columns.std(axis=1).tolist()
+    n_runs = len(trajectories)
     return [
-        SummaryRecord(
-            n_evals=int(n),
-            loss_mean=float(np.mean(losses[:, j])),
-            loss_std=float(np.std(losses[:, j])),
-            n_runs=len(trajectories),
-        )
-        for j, n in enumerate(grids[0])
+        SummaryRecord(int(n), mean, std, n_runs)
+        for n, mean, std in zip(grids[0], means, stds)
     ]
 
 
 def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> None:
     """Atomic write (temp file + rename) of summary JSON lines."""
-    lines = [json.dumps(dataclasses.asdict(r)) for r in records]
+    # a record's __dict__ holds its fields in declaration order
+    lines = [json.dumps(vars(r)) for r in records]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -366,9 +366,9 @@ def write_scan_csv(
 ) -> None:
     """Labeled matrix CSV: first row/column carry the swept values."""
     d1, d2 = scan.objective_config.active_dims
-    rows = [[f"theta_{d1}\\theta_{d2}"] + [_format_float(v) for v in scan.values_2]]
-    for i, v1 in enumerate(scan.values_1):
-        rows.append([_format_float(v1)] + [_format_float(x) for x in grid[i]])
+    rows = [[f"theta_{d1}\\theta_{d2}"] + _format_floats(scan.values_2)]
+    for i, v1 in enumerate(_format_floats(scan.values_1)):
+        rows.append([v1] + _format_floats(grid[i]))
     _write_atomic(path, _csv_text(rows))
 
 
@@ -385,6 +385,8 @@ class FinalRBConfig:
         check_fields(self)
         check_rb_ladder(self.lengths, self.n_sequences)
         check_shots(self.shots)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -526,14 +528,19 @@ def _require_keys(section, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _build(cls, where: str, **kwargs):
-    """``cls(**kwargs)``, reporting a bad value as a ConfigError."""
+def _build(cls, where: str, rename=None, /, **kwargs):
+    """``cls(**kwargs)``, reporting a bad value as a ConfigError.
+
+    An error that begins with a field ``rename`` maps a config key to is
+    reported under that key, the name the config file uses.
+    """
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        name, space, rest = str(exc).partition(" ")
+        spelling = {field: key for key, field in (rename or {}).items()}
+        prefix = "" if isinstance(exc, ConfigError) else f"invalid {where}: "
+        raise ConfigError(prefix + spelling.get(name, name) + space + rest) from exc
 
 
 def _from_section(cls, section, where: str, rename=None, **fixed):
@@ -547,7 +554,7 @@ def _from_section(cls, section, where: str, rename=None, **fixed):
     fields = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
     _require_keys(section, [spelling.get(name, name) for name in fields], where)
     kwargs = {rename.get(key, key): value for key, value in section.items()}
-    return _build(cls, where, **kwargs, **fixed)
+    return _build(cls, where, rename, **kwargs, **fixed)
 
 
 def parse_schedules(section: dict) -> ScheduleSet:
@@ -636,6 +643,7 @@ def experiment_config_from_dict(config: dict) -> ExperimentConfig:
     return _build(
         ExperimentConfig,
         "config",
+        _OPTIMIZER_KEYS,
         estimator=estimator,
         schedules=parse_schedules(config["schedules"]),
         initial_theta=_parse_initial_theta(config.get("initial_theta"), dim),

@@ -243,7 +243,8 @@ def make_pulse_objective(
             raise ValueError(missing_rng)
         # an RSGF baseline repeats the loss probe's theta: reuse its
         # propagator, but draw the noise fresh
-        key = np.shape(theta), np.asarray(theta, dtype=float).tobytes()
+        theta = np.asarray(theta, dtype=float)
+        key = theta.shape, theta.tobytes()
         if key != last[0]:
             last[:] = key, pulse_propagator(theta, cfg)
             last[1].setflags(write=False)

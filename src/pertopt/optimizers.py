@@ -36,8 +36,9 @@ class OptimizationAborted(RuntimeError):
 
 def _gradient_values(g_hat: np.ndarray) -> np.ndarray:
     g = np.asarray(g_hat, dtype=float)
-    if not np.all(np.isfinite(g)):
-        bad = np.flatnonzero(~np.isfinite(g))
+    finite = np.isfinite(g)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
         raise ValueError(f"non-finite gradient entries at components {bad.tolist()}")
     return g
 
@@ -120,7 +121,7 @@ def adam_step(
     w_v = gamma_t * state.weight_mass_v + (1.0 - gamma_t)
     m_hat = m / w_m
     v_hat = v / w_v
-    if np.any(v_hat < 0):
+    if (v_hat < 0).any():
         raise RuntimeError("second-moment renormalization went negative")
     new_state = AdamState(
         m=m, v=v, t=state.t + 1, weight_mass_m=w_m, weight_mass_v=w_v

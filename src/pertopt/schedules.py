@@ -26,12 +26,18 @@ def power_law_value(coeff: float, exponent: float, t: int) -> float:
     >>> round(power_law_value(1.0, 1.0, 4), 12)
     0.25
     """
+    if not t < 1:  # a bad step is _power_law's error
+        if coeff < 0:
+            raise ValueError(f"schedule coefficient must be >= 0, got {coeff}")
+        if exponent < 0:
+            raise ValueError(f"schedule exponent must be >= 0, got {exponent}")
+    return _power_law(coeff, exponent, t)
+
+
+def _power_law(coeff: float, exponent: float, t: int) -> float:
+    """``coeff / t**exponent`` for constants already checked; ``t`` is checked."""
     if t < 1:
         raise ValueError(f"schedule step must be >= 1, got t={t}")
-    if coeff < 0:
-        raise ValueError(f"schedule coefficient must be >= 0, got {coeff}")
-    if exponent < 0:
-        raise ValueError(f"schedule exponent must be >= 0, got {exponent}")
     return coeff / float(t) ** exponent
 
 
@@ -74,23 +80,22 @@ class ScheduleSet:
         if self.truncation_step is not None and self.truncation_step < 0:
             raise ValueError("truncation_step must be >= 0 when set")
 
+    # __post_init__ has checked the constants; each call checks only t
     def learning_rate(self, t: int) -> float:
-        return power_law_value(self.a0, self.alpha, t)
+        return _power_law(self.a0, self.alpha, t)
 
     def perturbation_size(self, t: int) -> float:
-        return power_law_value(self.c0, self.zeta, t)
+        return _power_law(self.c0, self.zeta, t)
 
     def momentum_coeff(self, t: int) -> float:
         if self.truncation_step is not None and t > self.truncation_step:
             return 0.0
-        return power_law_value(self.beta0, self.lam, t)
+        return _power_law(self.beta0, self.lam, t)
 
     def second_moment_coeff(self, t: int) -> float:
-        # constant by design; kept as a method so the update loop treats
-        # all four coefficients uniformly
-        if t < 1:
-            raise ValueError(f"schedule step must be >= 1, got t={t}")
-        return self.gamma
+        # constant by design (gamma / t**0 is gamma); kept as a method so
+        # the update loop treats all four coefficients uniformly
+        return _power_law(self.gamma, 0.0, t)
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,6 @@ def _float_vector(values) -> np.ndarray:
     return np.atleast_1d(np.asarray(values, dtype=float))
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    # count_nonzero is a plain loop; ndarray.all() runs a ufunc reduction,
-    # about twice as slow on a pulse's few dozen samples
-    return np.count_nonzero(np.isfinite(values)) == values.size
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     """Piecewise-constant I/Q samples, optionally FIR-distorted.
@@ -117,18 +111,22 @@ class PulseSequence:
     def __post_init__(self) -> None:
         i_s = _float_vector(self.i_samples)
         q_s = _float_vector(self.q_samples)
-        object.__setattr__(self, "i_samples", i_s)
-        object.__setattr__(self, "q_samples", q_s)
+        if i_s is not self.i_samples:
+            object.__setattr__(self, "i_samples", i_s)
+        if q_s is not self.q_samples:
+            object.__setattr__(self, "q_samples", q_s)
         if i_s.ndim != 1 or q_s.ndim != 1 or i_s.size != q_s.size or i_s.size < 1:
             raise ValueError("I and Q must be 1-D arrays of equal length >= 1")
-        if not (_all_finite(i_s) and _all_finite(q_s)):
+        # one count over both quadratures: count_nonzero is a plain loop,
+        # about twice as fast as an all() reduction on a few dozen samples
+        if np.count_nonzero(np.isfinite(i_s) & np.isfinite(q_s)) != i_s.size:
             raise ValueError("pulse samples must be finite")
         if not self.dt > 0:  # NaN fails this comparison too
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.distortion is not None:
             fir = _float_vector(self.distortion)
             object.__setattr__(self, "distortion", fir)
-            if fir.ndim != 1 or fir.size < 1 or not _all_finite(fir):
+            if fir.ndim != 1 or fir.size < 1 or not np.isfinite(fir).all():
                 raise ValueError("distortion must be a finite 1-D FIR kernel")
 
     @property
@@ -347,15 +345,10 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be >= 0, got {shots}")
 
 
-def _checked_norm(probs: np.ndarray):
-    """Each state's total of ``probs``; ``ValueError`` if one is off 1 by > 1e-9."""
-    total = probs.sum(axis=0)
-    drift = abs(total - 1.0)
-    if drift.ndim:  # a batch: its worst state (NaN if any state is NaN)
-        drift = drift.max()
+def _check_norm(drift) -> None:
+    """``ValueError`` unless a state's norm ``drift`` from 1 is <= 1e-9 (not NaN)."""
     if not drift <= 1e-9:
         raise ValueError(f"state norm deviates from 1 by {drift:.3e}")
-    return total
 
 
 def excited_frequency(probs: np.ndarray, shots: int, rng: np.random.Generator) -> float:
@@ -364,10 +357,12 @@ def excited_frequency(probs: np.ndarray, shots: int, rng: np.random.Generator) -
     ``probs[1]`` at ``shots = 0``, else level 1's count over ``shots`` in one
     multinomial draw from ``rng``: ``measure_population(...).excited``'s bits.
     """
-    total = _checked_norm(probs)
+    total = np.add.reduce(probs)  # probs.sum() without its Python wrapper
+    _check_norm(abs(total - 1.0))
     if shots == 0:
         return float(probs[1])
-    return float(rng.multinomial(shots, probs / total)[1] / shots)
+    # an exact int over an int rounds once, as the float64 division does
+    return rng.multinomial(shots, probs / total).item(1) / shots
 
 
 def measure_population(
@@ -397,7 +392,9 @@ def measure_population(
         rng = np.random.default_rng(rng)
     # the transpose puts levels first, so one code path serves both shapes
     probs = (np.abs(state) ** 2).T
-    total = _checked_norm(probs)
+    total = probs.sum(axis=0)
+    # a batch's worst state (NaN if any state is NaN)
+    _check_norm(abs(total - 1.0).max())
     freq = probs if shots == 0 else rng.multinomial(shots, (probs / total).T).T / shots
     ground, excited, leakage = freq[0], freq[1], freq[2:].sum(axis=0)
     if state.ndim == 1:

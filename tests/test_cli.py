@@ -261,6 +261,10 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"low": True, "high": 2})),
         ("run", _with(RUN_CONFIG, ["initial_theta"], _RANDOM_THETA | {"low": -1e308, "high": 1e308})),
         ("scan", _with(SCAN_CONFIG, ["scan", "values_1"], _RANGE | {"start": True})),
+        # np.random.SeedSequence refuses a negative seed, but only mid-run
+        ("run", _with(RUN_CONFIG, ["optimizer", "seed"], -1)),
+        ("run --seed -5", RUN_CONFIG),
+        ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "seed"], -3)),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -277,15 +281,40 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "fractional-final-lengths", "string-clip-box", "bool-clip-box",
         "nan-initial-theta", "nan-scan-value", "fractional-num", "bool-num",
         "nan-range-start", "nan-theta-low", "bool-theta-low",
-        "overflowing-theta-range", "bool-range-start",
+        "overflowing-theta-range", "bool-range-start", "negative-seed",
+        "negative-cli-seed", "negative-final-rb-seed",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert main([*command.split(), "--config", str(path), "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("run", _with(RUN_CONFIG, ["schedules", "lambda"], "y"),
+         "invalid schedules: lambda must be a finite number, got 'y'"),
+        ("run", _with(RUN_CONFIG, ["optimizer", "seed"], "x"),
+         "config error: seed must be an integer, got 'x'"),
+        ("run", _with(RUN_CONFIG, ["optimizer", "seed"], -1),
+         "config error: seed must be >= 0, got -1"),
+        ("run", _with(RUN_CONFIG, ["estimator", "estimator"], 3),
+         "invalid estimator: estimator must be a string, got 3"),
+        ("scan", _with(SCAN_CONFIG, ["objective", "duration_ns"], "a"),
+         "invalid objective: duration_ns must be a finite number, got 'a'"),
+    ],
+    ids=["lambda", "seed", "negative-seed", "estimator", "duration_ns"],
+)
+def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
+    # the dataclass field behind a renamed key (lam, base_seed, method,
+    # duration) means nothing to the author of the config file
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import logging
 import typing
@@ -92,6 +94,8 @@ def test_config_validation():
         )
     with pytest.raises(ConfigError, match="length"):
         pulse_config(initial_theta=np.zeros(7))
+    with pytest.raises(ConfigError, match="base_seed must be >= 0"):
+        sphere_config(base_seed=-1)
     assert sphere_config(base_seed=9).run_seed(3) == 12
 
 
@@ -388,6 +392,81 @@ def test_write_scan_csv_labels(tmp_path):
     assert lines[2].split(",") == ["0.5", "3.0", "4.0"]
 
 
+def _csv_writer_text(rows) -> str:
+    """The reference: ``csv.writer``'s excel dialect over ``rows``."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, -1.5e-300, 0.1, 1.7976931348623157e308]
+
+
+def test_csv_files_match_csv_writer_byte_for_byte(tmp_path):
+    # the writers join fields directly; csv.writer would quote a field
+    # holding a comma, a quote or a line break, and none of these does
+    theta = np.array(_EDGE_FLOATS)
+    records = [
+        TrajectoryRecord(1, 2, -0.0, 1e16, 5e-324, 0.0, theta[::-1].copy()),
+        TrajectoryRecord(2, 4, 5e-324, 0.032, 0.016, 0.999, -theta),
+    ]
+    # an aborted run: a NaN initial loss, and a run with no update
+    for run_id, traj in enumerate([
+        Trajectory(theta, float("nan"), records),
+        Trajectory(theta, float("nan"), []),
+    ]):
+        header = ["run_id", "iteration", "n_evals", "loss", "a_t", "c_t", "beta_t"]
+        rows = [header + [f"theta_{i}" for i in range(theta.size)]]
+        rows.append([run_id, 0, 0, repr(traj.initial_loss), "", "", ""]
+                    + [repr(x) for x in theta.tolist()])
+        for r in traj.records:
+            rows.append([run_id, r.iteration, r.n_evals]
+                        + [repr(x) for x in (r.loss, r.a_t, r.c_t, r.beta_t)]
+                        + [repr(x) for x in r.theta.tolist()])
+        path = tmp_path / f"run{run_id}.csv"
+        write_trajectory_csv(path, run_id, traj)
+        assert path.read_bytes() == _csv_writer_text(rows).encode()
+
+    scan = ScanConfig(
+        objective="lx",
+        objective_config=scan_objective_config(),
+        values_1=np.array(_EDGE_FLOATS[:3]),
+        values_2=np.array(_EDGE_FLOATS[3:]),
+    )
+    grid = np.array(_EDGE_FLOATS * 2).reshape(3, 4)[:, :3]
+    rows = [["theta_0\\theta_10"] + [repr(x) for x in _EDGE_FLOATS[3:]]]
+    for v1, values in zip(_EDGE_FLOATS[:3], grid.tolist()):
+        rows.append([repr(v1)] + [repr(x) for x in values])
+    path = tmp_path / "scan.csv"
+    write_scan_csv(path, scan, grid)
+    assert path.read_bytes() == _csv_writer_text(rows).encode()
+    assert b"\\" in path.read_bytes().splitlines()[0]
+
+
+@pytest.mark.parametrize("repeats", [2, 7, 8, 9, 40])
+def test_summary_matches_per_column_numpy_bit_for_bit(repeats):
+    # numpy sums 8 or more entries pairwise in blocks: the column-wise
+    # reduction must add each evaluation count's losses in the same order
+    rng = np.random.default_rng(repeats)
+    n_points = 25
+    losses = rng.lognormal(0.0, 3.0, size=(repeats, n_points))
+    trajectories = [
+        Trajectory(
+            np.zeros(2), row[0],
+            [TrajectoryRecord(j, 2 * j, row[j], 0.1, 0.1, 0.0, np.zeros(2))
+             for j in range(1, n_points)],
+        )
+        for row in losses.tolist()
+    ]
+    summary = summarize_trajectories(trajectories)
+    assert [r.n_evals for r in summary] == [2 * j for j in range(n_points)]
+    for j, record in enumerate(summary):
+        column = np.array([row[j] for row in losses.tolist()])
+        assert record.loss_mean.hex() == float(np.mean(column)).hex()
+        assert record.loss_std.hex() == float(np.std(column)).hex()
+        assert record.n_runs == repeats
+
+
 # ------------------------------------------------------------------ tuneup
 
 
@@ -562,7 +641,7 @@ def test_config_dict_validation():
         experiment_config_from_dict(bad)
     with pytest.raises(ConfigError, match="invalid schedules"):
         experiment_config_from_dict(synthetic_dict(schedules={"a0": -1.0}))
-    with pytest.raises(ConfigError, match="budget must be an integer"):
+    with pytest.raises(ConfigError, match="budget_evaluations must be an integer"):
         bad = synthetic_dict()
         bad["optimizer"]["budget_evaluations"] = 7.5
         experiment_config_from_dict(bad)
@@ -644,7 +723,7 @@ def test_final_rb_config_validation():
     for shots in (-1, 2.5, True):
         with pytest.raises(ValueError, match="shots"):
             FinalRBConfig(shots=shots)
-    for seed in ("x", None, 1.0):
+    for seed in ("x", None, 1.0, -1):
         with pytest.raises(ValueError, match="seed"):
             FinalRBConfig(seed=seed)
     for lengths in ([0, 10], [0, -1, 10]):
