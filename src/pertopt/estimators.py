@@ -107,8 +107,8 @@ def estimate_gradient(
     nothing, so ``rng`` may be ``None`` for it.
     """
     theta = np.asarray(theta, dtype=float)
-    if c <= 0:
-        raise ValueError(f"perturbation size c must be > 0, got {c}")
+    if not 0.0 < c < math.inf:  # NaN fails this too
+        raise ValueError(f"perturbation size c must be > 0 and finite, got {c}")
     n, d = config.n_samples, theta.size
     if config.method == "rsgf":
         u = rng.standard_normal((n, d))

@@ -582,6 +582,8 @@ def _parse_objective(section) -> tuple[dict, int | None]:
         return {"objective": name, "objective_config": cfg}, cfg.dim
     _require_keys(rest, ("noise_sigma", "dimension"), "objective")
     dim = rest.pop("dimension", None)
+    if dim is not None and not (is_integer(dim) and dim >= 1):
+        raise ConfigError(f"dimension must be an integer >= 1, got {dim!r}")
     return {"objective": name, **rest}, dim
 
 
@@ -606,7 +608,12 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray | list:
         raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
     if kind == "values":
         # ExperimentConfig checks the entries
-        return spec.get("values", [])
+        values = spec.get("values", [])
+        if dim is not None and isinstance(values, (list, tuple)) and len(values) != dim:
+            raise ConfigError(
+                f"initial_theta has {len(values)} values, the dimension is {dim}"
+            )
+        return values
     if kind == "zeros":
         return np.zeros(dim)
     low, high = spec.get("low", -0.5), spec.get("high", 0.5)

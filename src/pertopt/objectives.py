@@ -307,8 +307,8 @@ def synthetic_objective(
             f"unknown synthetic objective {name!r}, "
             f"expected one of {SYNTHETIC_OBJECTIVES}"
         )
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:  # NaN fails this too
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     rng = None
     if noise_sigma > 0:
         if seed is None:

@@ -10,6 +10,7 @@ constant coefficients this reduces exactly to the classic correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .estimators import (
     evaluate_objective,
 )
 from .schedules import ScheduleSet
+from .transmon import is_integer
 
 UPDATE_RULES = ("sgd", "momentum", "adam")
 
@@ -41,6 +43,22 @@ def _gradient_values(g_hat: np.ndarray) -> np.ndarray:
         bad = np.flatnonzero(~finite)
         raise ValueError(f"non-finite gradient entries at components {bad.tolist()}")
     return g
+
+
+def _check_coefficients(
+    a_t: float, beta_t: float = 0.0, gamma_t: float = 0.0, delta: float = 1.0
+) -> None:
+    """``ValueError`` unless each update coefficient is finite and in range.
+
+    Every comparison is written so that NaN fails it.
+    """
+    if not 0.0 <= a_t < math.inf:
+        raise ValueError(f"learning rate must be >= 0 and finite, got {a_t}")
+    for name, value in (("beta_t", beta_t), ("gamma_t", gamma_t)):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {value}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
 
 
 @dataclass
@@ -64,8 +82,7 @@ def sgd_step(
     """Plain descent step ``theta - a_t * g_hat``."""
     theta = np.asarray(theta, dtype=float)
     g = _gradient_values(g_hat)
-    if a_t < 0:
-        raise ValueError(f"learning rate must be >= 0, got {a_t}")
+    _check_coefficients(a_t)
     return theta - a_t * g
 
 
@@ -79,8 +96,7 @@ def momentum_step(
     """Renormalized-momentum step: descend along ``m_t / W_t``."""
     theta = np.asarray(theta, dtype=float)
     g = _gradient_values(g_hat)
-    if not 0.0 <= beta_t < 1.0:
-        raise ValueError(f"beta_t must lie in [0, 1), got {beta_t}")
+    _check_coefficients(a_t, beta_t)
     m = beta_t * state.m + (1.0 - beta_t) * g
     w_m = beta_t * state.weight_mass_m + (1.0 - beta_t)
     new_state = AdamState(
@@ -109,12 +125,7 @@ def adam_step(
     """
     theta = np.asarray(theta, dtype=float)
     g = _gradient_values(g_hat)
-    if not 0.0 <= beta_t < 1.0:
-        raise ValueError(f"beta_t must lie in [0, 1), got {beta_t}")
-    if not 0.0 <= gamma_t < 1.0:
-        raise ValueError(f"gamma_t must lie in [0, 1), got {gamma_t}")
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_coefficients(a_t, beta_t, gamma_t, delta)
     m = beta_t * state.m + (1.0 - beta_t) * g
     v = gamma_t * state.v + (1.0 - gamma_t) * g * g
     w_m = beta_t * state.weight_mass_m + (1.0 - beta_t)
@@ -202,8 +213,8 @@ def run_optimization(
         raise ValueError(
             f"unknown update rule {update_rule!r}, expected one of {UPDATE_RULES}"
         )
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if not is_integer(budget) or budget < 0:
+        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
     rng = np.random.default_rng(seed)
     theta = np.array(initial_theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:

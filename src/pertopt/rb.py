@@ -5,8 +5,8 @@ closure over {I, X90, X180, X-90, Y90, Y-90}.  During benchmarking every
 X90 occurrence in a Clifford's decomposition is replaced by the simulated
 gate under test while the other generators stay ideal, so sequence errors
 accumulate exactly where the real experiment puts them.  Recovery gates
-are computed from the ideal composition via precomputed multiplication
-and inverse tables.
+are computed from the ideal composition through the group's
+multiplication and inverse tables, which the closure derives.
 """
 
 from __future__ import annotations
@@ -19,15 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trf import trf_bounds
-from .transmon import (
-    check_shots,
-    embed_qubit_gate,
-    is_integer,
-    measure_population,
-    rotation_unitary,
-)
+from .transmon import check_shots, is_integer, measure_population, rotation_unitary
 
 X90_GENERATOR_INDEX = 1
+# the generators as a read-only (6, 2, 2) stack, identity first
+_GENERATORS = np.array([
+    np.eye(2, dtype=complex),
+    rotation_unitary("x", math.pi / 2.0),
+    rotation_unitary("x", math.pi),
+    rotation_unitary("x", -math.pi / 2.0),
+    rotation_unitary("y", math.pi / 2.0),
+    rotation_unitary("y", -math.pi / 2.0),
+])
+_GENERATORS.flags.writeable = False
 
 # log-spaced default sequence-length ladder, dense at short lengths
 DEFAULT_RB_LENGTHS = (
@@ -61,17 +65,6 @@ class RBFitError(RuntimeError):
         self.residuals = residuals
 
 
-def _generator_unitaries() -> tuple[np.ndarray, ...]:
-    return (
-        np.eye(2, dtype=complex),
-        rotation_unitary("x", math.pi / 2.0),
-        rotation_unitary("x", math.pi),
-        rotation_unitary("x", -math.pi / 2.0),
-        rotation_unitary("y", math.pi / 2.0),
-        rotation_unitary("y", -math.pi / 2.0),
-    )
-
-
 def _canonical_key(u: np.ndarray) -> tuple:
     """Hashable fingerprint of a 2x2 unitary modulo global phase.
 
@@ -90,10 +83,11 @@ class CliffordGroup:
     """Phase-canonical unitaries plus composition bookkeeping.
 
     ``decompositions[k]`` lists generator indices applied left-to-right
-    (earliest first) to build element ``k``.  ``multiplication[i, j]`` is
-    the element equal to applying ``i`` then ``j``; ``inverse[i]`` composes
-    with ``i`` to the identity (element 0).  ``x90_element`` is the
-    element equal to the X90 generator.
+    (earliest first) to build element ``k``; breadth-first order lists
+    them shortest first.  ``multiplication[i, j]`` is the element equal to
+    applying ``i`` then ``j``; ``inverse[i]`` composes with ``i`` to the
+    identity (element 0).  ``x90_element`` is the element equal to the
+    X90 generator.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -107,48 +101,51 @@ class CliffordGroup:
 
 
 def build_clifford_group() -> CliffordGroup:
-    """Breadth-first closure of the generator set; checks order 24."""
-    gens = _generator_unitaries()
+    """Breadth-first closure of the generator set; checks order 24.
+
+    The closure meets every product of an element and a generator once and
+    records which element it is.  Column ``j`` of ``multiplication`` walks
+    decomposition ``j`` over that successor table from every element, so
+    the tables take integer lookups, not matrix products.
+    """
     elements: list[np.ndarray] = []
     decomps: list[tuple[int, ...]] = []
     index: dict[tuple, int] = {}
 
-    def add(u: np.ndarray, decomp: tuple[int, ...]) -> None:
+    def element(u: np.ndarray, decomp: tuple[int, ...]) -> int:
         key = _canonical_key(u)
         if key not in index:
             index[key] = len(elements)
             elements.append(u)
             decomps.append(decomp)
+        return index[key]
 
-    add(gens[0], ())
-    head = 0
-    while head < len(elements):
-        base = elements[head]
-        base_decomp = decomps[head]
-        for g_idx, g in enumerate(gens):
-            add(g @ base, base_decomp + (g_idx,))
-        head += 1
-    if len(elements) != 24:
-        raise RuntimeError(f"Clifford closure found {len(elements)} elements")
-
+    element(_GENERATORS[0], ())
+    # successor[k][g] is element k followed by generator g; the loop also
+    # visits the elements it appends
+    successor = [
+        [element(g @ base, decomp + (g_idx,)) for g_idx, g in enumerate(_GENERATORS)]
+        for base, decomp in zip(elements, decomps)
+    ]
     n = len(elements)
+    if n != 24:
+        raise RuntimeError(f"Clifford closure found {n} elements")
+    successor = np.array(successor)
     multiplication = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            key = _canonical_key(elements[j] @ elements[i])
-            multiplication[i, j] = index[key]
-    inverse = np.empty(n, dtype=np.intp)
-    for i in range(n):
-        matches = np.flatnonzero(multiplication[i] == 0)
-        if matches.size != 1:
-            raise RuntimeError(f"element {i} has {matches.size} group inverses")
-        inverse[i] = matches[0]
+    for j, decomp in enumerate(decomps):
+        column = np.arange(n)
+        for g_idx in decomp:
+            column = successor[column, g_idx]
+        multiplication[:, j] = column
+    rows, inverse = np.nonzero(multiplication == 0)
+    if not np.array_equal(rows, np.arange(n)):
+        raise RuntimeError("an element lacks a unique group inverse")
     return CliffordGroup(
         unitaries=tuple(elements),
         decompositions=tuple(decomps),
         multiplication=multiplication,
         inverse=inverse,
-        x90_element=index[_canonical_key(gens[X90_GENERATOR_INDEX])],
+        x90_element=int(successor[0, X90_GENERATOR_INDEX]),
     )
 
 
@@ -158,62 +155,35 @@ def clifford_group() -> CliffordGroup:
     return build_clifford_group()
 
 
-@functools.lru_cache(maxsize=None)
-def _ideal_compilation(decompositions: tuple[tuple[int, ...], ...], n_levels: int):
-    """The part of ``compile_cliffords`` that does not see the test gate.
-
-    Returns the embedded ideal generators, a stack of every element
-    without X90 (zero where X90 occurs), and for each element with X90
-    its index, the product of the generators before its first X90 and
-    the generators from that X90 on.  All arrays are read-only.
-    """
-    gen_mats = [embed_qubit_gate(g, n_levels) for g in _generator_unitaries()]
-    compiled = np.zeros((len(decompositions), n_levels, n_levels), dtype=complex)
-    with_x90 = []
-    for k, decomp in enumerate(decompositions):
-        u = np.eye(n_levels, dtype=complex)
-        for i, g_idx in enumerate(decomp):
-            if g_idx == X90_GENERATOR_INDEX:
-                with_x90.append((k, u, decomp[i:]))
-                break
-            u = gen_mats[g_idx] @ u
-        else:
-            compiled[k] = u
-    # every caller shares these arrays
-    for a in (*gen_mats, compiled, *(u for _, u, _ in with_x90)):
-        a.flags.writeable = False
-    return tuple(gen_mats), compiled, tuple(with_x90)
-
-
 def compile_cliffords(group: CliffordGroup, gate_under_test: np.ndarray) -> np.ndarray:
     """Matrices of all Cliffords with X90 slots replaced by the test gate.
 
-    A ``(24, n, n)`` array.  Elements without X90 come from a per-size
-    cache; the others are rebuilt from their cached product up to the
-    first X90, multiplying left to right as a fresh build would.
+    A ``(24, n, n)`` array.  The generators are embedded on ``n`` levels
+    and every element's generators are multiplied onto the identity, left
+    to right: one stacked product per decomposition position, over the
+    elements whose decomposition reaches it (a suffix, since the
+    decompositions come shortest first).
     """
     gate_under_test = np.asarray(gate_under_test, dtype=complex)
-    gen_mats, ideal, with_x90 = _ideal_compilation(
-        group.decompositions, gate_under_test.shape[0]
-    )
-    compiled = ideal.copy()
-    for k, u, rest in with_x90:
-        for g_idx in rest:
-            g = gate_under_test if g_idx == X90_GENERATOR_INDEX else gen_mats[g_idx]
-            u = g @ u
-        compiled[k] = u
+    eye = np.eye(gate_under_test.shape[0], dtype=complex)[None]
+    gens = eye.repeat(len(_GENERATORS), axis=0)
+    gens[:, :2, :2] = _GENERATORS
+    gens[X90_GENERATOR_INDEX] = gate_under_test
+    compiled = eye.repeat(len(group), axis=0)
+    decomps = group.decompositions
+    for p in range(len(decomps[-1])):
+        codes = [d[p] for d in decomps if len(d) > p]
+        start = len(decomps) - len(codes)
+        compiled[start:] = gens.take(codes, axis=0) @ compiled[start:]
     return compiled
 
 
 @dataclass(frozen=True)
 class RBData:
-    """Mean ground-state survival per sequence length."""
+    """Mean ground-state survival per sequence length, in ladder order."""
 
     lengths: np.ndarray
     survival: np.ndarray
-    n_sequences: int
-    shots: int
-    interleaved: bool
 
 
 def run_rb(
@@ -233,15 +203,18 @@ def run_rb(
 
     The Clifford indices are drawn one ``(n_sequences, m)`` block per
     length in ladder order; with ``shots > 0`` the per-sequence
-    measurement draws follow, also in ladder order.  All sequences are
-    then stepped together, two Cliffords per product: a table of all
-    ordered products of two step matrices (and the identity) is built
-    once per call, and each step applies one table entry per row.  Rows
-    are sorted by descending length, so the rows still running form a
-    prefix; past its own length a row draws the identity, which pads an
-    odd length exactly.  Each row's composite element is reduced
-    afterwards, one ladder block at a time, by multiplying neighbouring
-    steps pairwise (the group product is associative, so this is exact).
+    measurement draws follow, also in ladder order.  Each block goes
+    straight into ``uint16`` pair codes, ``b * 25 + a`` for Clifford ``a``
+    then ``b``, where 24 stands for the identity.  All sequences are then
+    stepped together, one code per row and step: a table of all ordered
+    products of two step matrices (and the identity) is built once per
+    call.  Rows are sorted by descending length, so the rows still running
+    form a prefix; past its own length a row holds the identity pair, and
+    an odd length's last pair ends with the identity.  Each row's
+    composite element comes from its codes through a 625-entry table of
+    pair elements (folding in the identity and any interleaved X90), then
+    by multiplying neighbours pairwise (the group product is associative,
+    so this is exact).
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -257,11 +230,14 @@ def run_rb(
     check_shots(shots)
     rng = np.random.default_rng(seed)
     group = clifford_group()
+    # flat uint16 tables and takes keep a long ladder's blocks small
+    n_group, table = len(group), group.multiplication.astype(np.uint16)
     compiled = compile_cliffords(group, gate)
-    step_matrices = compiled
+    step_matrices, step_elements = compiled, np.arange(n_group)
     if interleaved:
         # fold the gate under test (an X90 slot) into every step
         step_matrices = gate @ compiled
+        step_elements = table[:, group.x90_element]
 
     # pairs[b * n_ext + a] applies ext[a] then ext[b]; ext ends with the
     # identity.  One 2-D product forms every block (ext[b] @ ext[a])[i, k]
@@ -274,50 +250,47 @@ def run_rb(
         .transpose(0, 2, 1, 3)
         .reshape(n_ext * n_ext, n_levels, n_levels)
     )
+    # the group element of each pair code, and products[a * 24 + b] of
+    # element a then b
+    ext_elements = np.append(step_elements, 0)
+    pair_elements = table[np.ix_(ext_elements, ext_elements)].T.ravel()
+    products = table.ravel()
 
-    # draws[s, row] is the index applied at step s by sequence row; rows
-    # come in blocks of n_sequences per ladder entry, longest first (stable,
-    # so equal lengths keep ladder order), the identity past their own
-    # length, for an even number of steps
+    # rows come in blocks of n_sequences per ladder entry, longest first
+    # (stable, so equal lengths keep ladder order)
     order = np.argsort(-lengths, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
-    row_lengths = np.repeat(lengths[order], n_sequences)
-    n_steps = lengths.max() + lengths.max() % 2
-    draws = np.full((n_steps, row_lengths.size), len(group), dtype=np.uint8)
+    n_rows = lengths.size * n_sequences
+    n_pairs = (lengths.max() + 1) // 2
+    codes = np.full((n_pairs, n_rows), n_ext * n_ext - 1, dtype=np.uint16)
+    composite = np.zeros(n_rows, dtype=np.uint16)
     for li, m in enumerate(lengths):
-        start = slot[li] * n_sequences
-        draws[:m, start:start + n_sequences] = rng.integers(
-            0, len(group), size=(n_sequences, m)
-        ).T
-    # narrow index arrays keep a long ladder's memory small
-    pair_index = draws[1::2].astype(np.uint16)
-    pair_index *= n_ext
-    pair_index += draws[0::2]
-    n_active = np.searchsorted(-row_lengths, -np.arange(0, n_steps, 2))
-
-    psi = np.zeros((row_lengths.size, n_levels), dtype=complex)
-    psi[:, 0] = 1.0
-    for s, k in enumerate(n_active):
-        steps = pairs.take(pair_index[s, :k], axis=0)
-        psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
-    # the group product of a then b is products[a * n_group + b]: one flat
-    # take per round, cheaper than indexing the 2-D table by two arrays;
-    # uint16 holds every flat index and keeps a long ladder's blocks small
-    table = group.multiplication.astype(np.uint16)
-    n_group, products = len(group), table.ravel()
-    composite = np.zeros(row_lengths.size, dtype=np.uint8)
-    for li, m in enumerate(lengths):
-        start = slot[li] * n_sequences
-        block = draws[:m, start:start + n_sequences].astype(np.uint16)
-        if interleaved:
-            block = table[:, group.x90_element].take(block)
+        rows = slice(slot[li] * n_sequences, (slot[li] + 1) * n_sequences)
+        draw = rng.integers(0, n_group, size=(n_sequences, m)).T.astype(np.uint16)
+        pair_codes = codes[:(m + 1) // 2, rows]
+        pair_codes[:m // 2] = draw[1::2]
+        # an odd length's last pair ends with the identity
+        pair_codes[m // 2:] = n_group
+        pair_codes *= n_ext
+        pair_codes += draw[0::2]
+        block = pair_elements.take(pair_codes)
         while len(block) > 1:
             half = len(block) // 2
             pair = block[0:2 * half:2] * n_group + block[1::2]
             block = np.concatenate((products.take(pair), block[2 * half:]))
         if m:
-            composite[start:start + n_sequences] = block[0]
+            composite[rows] = block[0]
+
+    psi = np.zeros((n_rows, n_levels), dtype=complex)
+    psi[:, 0] = 1.0
+    # the rows longer than 2s still run at step s
+    n_active = n_sequences * np.searchsorted(
+        -lengths[order], -np.arange(0, lengths.max(), 2)
+    )
+    for s, k in enumerate(n_active):
+        steps = pairs.take(codes[s, :k], axis=0)
+        psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
     recovery = compiled[group.inverse[composite]]
     psi = np.einsum("rij,rj->ri", recovery, psi)
 
@@ -325,11 +298,7 @@ def run_rb(
     psi = psi.reshape(lengths.size, n_sequences, -1)[slot].reshape(psi.shape)
     ground = measure_population(psi, shots, rng if shots > 0 else None).ground
     return RBData(
-        lengths=lengths,
-        survival=ground.reshape(lengths.size, n_sequences).mean(axis=1),
-        n_sequences=n_sequences,
-        shots=shots,
-        interleaved=interleaved,
+        lengths=lengths, survival=ground.reshape(lengths.size, n_sequences).mean(axis=1)
     )
 
 

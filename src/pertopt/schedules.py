@@ -11,9 +11,10 @@ never blocks a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .transmon import check_fields
+from .transmon import check_fields, is_integer
 
 
 def power_law_value(coeff: float, exponent: float, t: int) -> float:
@@ -27,17 +28,18 @@ def power_law_value(coeff: float, exponent: float, t: int) -> float:
     0.25
     """
     if not t < 1:  # a bad step is _power_law's error
-        if coeff < 0:
-            raise ValueError(f"schedule coefficient must be >= 0, got {coeff}")
-        if exponent < 0:
-            raise ValueError(f"schedule exponent must be >= 0, got {exponent}")
+        for name, value in (("coefficient", coeff), ("exponent", exponent)):
+            if not 0.0 <= value < math.inf:  # NaN fails this too
+                raise ValueError(
+                    f"schedule {name} must be >= 0 and finite, got {value}"
+                )
     return _power_law(coeff, exponent, t)
 
 
 def _power_law(coeff: float, exponent: float, t: int) -> float:
     """``coeff / t**exponent`` for constants already checked; ``t`` is checked."""
-    if t < 1:
-        raise ValueError(f"schedule step must be >= 1, got t={t}")
+    if not is_integer(t) or t < 1:
+        raise ValueError(f"schedule step must be >= 1 and an integer, got t={t!r}")
     return coeff / float(t) ** exponent
 
 

@@ -121,8 +121,8 @@ class PulseSequence:
         # about twice as fast as an all() reduction on a few dozen samples
         if np.count_nonzero(np.isfinite(i_s) & np.isfinite(q_s)) != i_s.size:
             raise ValueError("pulse samples must be finite")
-        if not self.dt > 0:  # NaN fails this comparison too
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:  # NaN fails this comparison too
+            raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
         if self.distortion is not None:
             fir = _float_vector(self.distortion)
             object.__setattr__(self, "distortion", fir)

@@ -265,6 +265,15 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("run", _with(RUN_CONFIG, ["optimizer", "seed"], -1)),
         ("run --seed -5", RUN_CONFIG),
         ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "seed"], -3)),
+        # a bad dimension used to fail only at run time (exit 2), or run
+        # in the dimension of the explicit values
+        ("run", _with(_with(RUN_CONFIG, ["objective", "dimension"], -1),
+                      ["initial_theta"], {"kind": "zeros"})),
+        ("run", _with(_with(RUN_CONFIG, ["objective", "dimension"], 2.5),
+                      ["initial_theta"], _RANDOM_THETA)),
+        ("run", _with(_with(RUN_CONFIG, ["objective", "dimension"], True),
+                      ["initial_theta"], {"kind": "zeros"})),
+        ("run", _with(RUN_CONFIG, ["objective", "dimension"], 3)),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -282,7 +291,8 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "nan-initial-theta", "nan-scan-value", "fractional-num", "bool-num",
         "nan-range-start", "nan-theta-low", "bool-theta-low",
         "overflowing-theta-range", "bool-range-start", "negative-seed",
-        "negative-cli-seed", "negative-final-rb-seed",
+        "negative-cli-seed", "negative-final-rb-seed", "negative-dimension",
+        "fractional-dimension", "bool-dimension", "dimension-over-values",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

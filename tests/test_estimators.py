@@ -94,6 +94,15 @@ def test_positive_perturbation_required():
             fn()
 
 
+@pytest.mark.parametrize("method", ["fdsa", "spsa", "rsgf"])
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_perturbation_size_must_be_finite(c, method):
+    # NaN gave an all-NaN estimate and inf an all-zero one
+    with pytest.raises(ValueError, match="perturbation size c"):
+        estimate_gradient(sphere, np.zeros(2), EstimatorConfig(method), c,
+                          np.random.default_rng(0))
+
+
 # ------------------------------------------------------------- distribution
 
 

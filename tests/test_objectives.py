@@ -461,3 +461,10 @@ def test_synthetic_validation():
         synthetic_objective("sphere", noise_sigma=0.1)
     with pytest.raises(ValueError, match="noise_sigma"):
         synthetic_objective("sphere", noise_sigma=-0.5, seed=1)
+
+
+@pytest.mark.parametrize("noise_sigma", [np.nan, np.inf])
+def test_synthetic_noise_sigma_must_be_finite(noise_sigma):
+    # NaN used to run silently noise-free
+    with pytest.raises(ValueError, match="noise_sigma"):
+        synthetic_objective("sphere", noise_sigma=noise_sigma, seed=1)

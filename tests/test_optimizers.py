@@ -197,6 +197,47 @@ def test_adam_first_step_is_sign_step():
     np.testing.assert_allclose(theta, -0.1 * np.sign(g), rtol=1e-5)
 
 
+_THETA, _G = np.zeros(1), np.ones(1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: sgd_step(_THETA, _G, np.nan), "learning rate"),
+        (lambda: sgd_step(_THETA, _G, np.inf), "learning rate"),
+        (lambda: momentum_step(AdamState.zeros(1), _THETA, _G, np.nan, 0.9),
+         "learning rate"),
+        (lambda: momentum_step(AdamState.zeros(1), _THETA, _G, -1.0, 0.9),
+         "learning rate"),
+        (lambda: momentum_step(AdamState.zeros(1), _THETA, _G, 0.1, np.nan), "beta_t"),
+        (lambda: adam_step(AdamState.zeros(1), _THETA, _G, np.nan, 0.9, 0.9),
+         "learning rate"),
+        (lambda: adam_step(AdamState.zeros(1), _THETA, _G, -1.0, 0.9, 0.9),
+         "learning rate"),
+        (lambda: adam_step(AdamState.zeros(1), _THETA, _G, 0.1, 0.9, np.nan),
+         "gamma_t"),
+        (lambda: adam_step(AdamState.zeros(1), _THETA, _G, 0.1, 0.9, 0.9, np.nan),
+         "delta"),
+        (lambda: adam_step(AdamState.zeros(1), _THETA, _G, 0.1, 0.9, 0.9, np.inf),
+         "delta"),
+        (lambda: run_optimization(sphere, EstimatorConfig("spsa"), "sgd",
+                                  ScheduleSet(), np.ones(2), budget=np.nan), "budget"),
+        (lambda: run_optimization(sphere, EstimatorConfig("spsa"), "sgd",
+                                  ScheduleSet(), np.ones(2), budget=4.5), "budget"),
+    ],
+    ids=[
+        "sgd-nan-rate", "sgd-infinite-rate", "momentum-nan-rate",
+        "momentum-negative-rate", "momentum-nan-beta", "adam-nan-rate",
+        "adam-negative-rate", "adam-nan-gamma", "adam-nan-delta",
+        "adam-infinite-delta", "nan-budget", "fractional-budget",
+    ],
+)
+def test_non_finite_or_out_of_range_arguments_are_refused(call, match):
+    # each used to return a NaN theta, step uphill or run a budget of 0 or 4.5
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_adam_parameter_validation():
     st = AdamState.zeros(1)
     with pytest.raises(ValueError, match="beta_t"):

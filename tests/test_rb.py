@@ -22,8 +22,8 @@ from pertopt import (
     run_rb,
 )
 from pertopt.rb import (
+    _GENERATORS,
     X90_GENERATOR_INDEX,
-    _generator_unitaries,
     build_clifford_group,
     clifford_group,
     compile_cliffords,
@@ -81,7 +81,7 @@ def test_inverse_table():
 
 def test_decompositions_rebuild_every_element():
     g = clifford_group()
-    gens = _generator_unitaries()
+    gens = _GENERATORS
     for decomp, u in zip(g.decompositions, g.unitaries):
         rebuilt = np.eye(2, dtype=complex)
         for g_idx in decomp:
@@ -117,12 +117,13 @@ def test_compile_embeds_other_generators_on_three_levels():
 
 
 def test_compile_matches_a_full_rebuild_bit_for_bit():
-    # compile_cliffords caches what does not depend on the test gate; every
-    # element must still equal a fresh left-to-right product exactly
+    # compile_cliffords multiplies all elements at once, one stacked product
+    # per decomposition position; every element must still equal a fresh
+    # left-to-right product exactly
     g = clifford_group()
-    for n_levels, seed in ((2, 0), (3, 1), (2, 2), (3, 3)):
+    for n_levels, seed in ((2, 0), (3, 1), (2, 2), (3, 3), (4, 4)):
         gate = noisy_x90(n_levels, 0.05, seed)
-        gens = [embed_qubit_gate(u, n_levels) for u in _generator_unitaries()]
+        gens = [embed_qubit_gate(u, n_levels) for u in _GENERATORS]
         gens[X90_GENERATOR_INDEX] = gate
         compiled = compile_cliffords(g, gate)
         assert compiled.shape == (24, n_levels, n_levels)
@@ -145,7 +146,6 @@ def test_build_is_deterministic():
 def test_ideal_gate_survival_is_one():
     data = run_rb(X90, lengths=(0, 5, 20, 100), n_sequences=6, seed=3)
     assert np.max(np.abs(data.survival - 1.0)) <= 1e-12
-    assert not data.interleaved
 
 
 def test_ideal_gate_survival_is_one_with_shots():
@@ -189,6 +189,26 @@ def test_rb_survival_comes_back_in_ladder_order():
     np.testing.assert_array_equal(data.lengths, (40, 0, 5, 40))
     assert data.survival[1] == pytest.approx(1.0, abs=1e-12)
     assert data.survival[0] != data.survival[3]  # separate draws per entry
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize(
+    "lengths, n_sequences",
+    [((1, 3, 7, 11), 3), ((0, 0), 2), ((9, 2, 9, 0, 5), 3),
+     ((1, 20, 60, 150, 300), 24)],
+    ids=["odd", "all-zero", "repeated-unsorted", "test-8"],
+)
+def test_run_rb_draws_one_index_block_per_ladder_entry(
+    lengths, n_sequences, interleaved
+):
+    # at shots 0 the Clifford indices are the whole stream: one block per
+    # ladder entry, in ladder order, whatever order the rows are stepped in
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    run_rb(noisy_x90(3, 0.05, 1), lengths, n_sequences, seed=rng,
+           interleaved=interleaved)
+    for m in lengths:
+        twin.integers(0, 24, size=(n_sequences, m))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_three_level_ideal_gate_keeps_survival():
@@ -331,7 +351,6 @@ def test_interleaved_fixture_recovers_direct_fidelity():
     ref = run_rb(gate, FIXTURE_LENGTHS, n_sequences=60, seed=19)
     inter = run_rb(gate, FIXTURE_LENGTHS, n_sequences=60, seed=119,
                    interleaved=True)
-    assert inter.interleaved
     fit_ref = fit_rb_decay(ref.lengths, ref.survival)
     fit_int = fit_rb_decay(inter.lengths, inter.survival)
     estimate = interleaved_gate_fidelity(fit_ref.decay_rate, fit_int.decay_rate)

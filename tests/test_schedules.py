@@ -24,6 +24,25 @@ def test_power_law_zero_exponent_is_constant():
         assert power_law_value(0.999, 0.0, t) == 0.999
 
 
+@pytest.mark.parametrize(
+    "coeff, exponent, t, match",
+    [
+        (np.nan, 0.5, 3, "coefficient"),
+        (np.inf, 0.5, 3, "coefficient"),
+        (1.0, np.nan, 3, "exponent"),
+        (1.0, np.inf, 3, "exponent"),
+        (1.0, 0.5, 1.5, "step"),
+        (1.0, 0.5, np.nan, "step"),
+        (1.0, 0.5, True, "step"),
+    ],
+)
+def test_power_law_refuses_non_finite_constants_and_fractional_steps(
+    coeff, exponent, t, match
+):
+    with pytest.raises(ValueError, match=match):
+        power_law_value(coeff, exponent, t)
+
+
 def test_power_law_rejects_bad_steps():
     with pytest.raises(ValueError, match="step must be >= 1"):
         power_law_value(1.0, 0.5, 0)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pertopt import ObjectiveConfig, make_pulse_objective, objectives
+from pertopt import ObjectiveConfig, make_pulse_objective, objectives, rb
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pertopt"
@@ -194,24 +194,30 @@ def test_benchmark_patch_targets_exist():
 
 def test_benchmark_traced_layers_run(monkeypatch):
     # a patch target that exists but is no longer called reads 0 in every
-    # traced run; each pulse-loss call must pass through these lookup sites
+    # traced run; each pulse-loss call must pass through these lookup sites,
+    # and each run_rb call through pertopt.rb's own
     calls = {}
 
-    def counted(attr):
-        original = getattr(objectives, attr)
+    def counted(module, attr, name):
+        original = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
-            calls[attr] = calls.get(attr, 0) + 1
+            calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(objectives, attr, wrapper)
+        monkeypatch.setattr(module, attr, wrapper)
 
     for attr in ("hann_waveform", "evolve", "run_rb", "fit_rb_decay"):
-        counted(attr)
+        counted(objectives, attr, attr)
+    for attr in ("compile_cliffords", "measure_population"):
+        counted(rb, attr, f"rb.{attr}")
     cfg = ObjectiveConfig(shots=0, rb_lengths=(0, 2, 5), rb_sequences=2)
     theta = np.zeros(cfg.dim)
     theta[0] = 0.5
     make_pulse_objective("lx", cfg)(theta)
     assert calls == {"hann_waveform": 1, "evolve": 1}
     make_pulse_objective("l_rb", cfg, rng=0)(theta)
-    assert calls == {"hann_waveform": 2, "evolve": 2, "run_rb": 1, "fit_rb_decay": 1}
+    assert calls == {
+        "hann_waveform": 2, "evolve": 2, "run_rb": 1, "fit_rb_decay": 1,
+        "rb.compile_cliffords": 1, "rb.measure_population": 1,
+    }

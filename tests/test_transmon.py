@@ -121,6 +121,12 @@ def test_pulse_sequence_validation():
             PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
 
 
+@pytest.mark.parametrize("dt", [np.inf, -np.inf])
+def test_pulse_sequence_dt_must_be_finite(dt):
+    with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+        PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
+
+
 def test_fir_distortion_shifts_and_scales_samples():
     pulse = PulseSequence(i_samples=[1.0, 2.0, 3.0], q_samples=[4.0, 5.0, 6.0],
                           distortion=[0.0, 1.0])
