@@ -75,8 +75,9 @@ def _cmd_tuneup(args: argparse.Namespace) -> int:
         rough = replace(rough, base_seed=args.seed)
         fine = replace(fine, base_seed=args.seed)
     result = two_stage_tuneup(rough, fine, args.out, final_rb)
-    print(f"best rough loss: {result.best_rough[1]!r} at iteration {result.best_rough[0]}")
-    print(f"best fine loss: {result.best_fine[1]!r} at iteration {result.best_fine[0]}")
+    for stage, trajectory in (("rough", result.rough), ("fine", result.fine)):
+        iteration, loss, _ = trajectory.best()
+        print(f"best {stage} loss: {loss!r} at iteration {iteration}")
     print(f"interleaved fidelity: {result.interleaved_fidelity!r}")
     print(f"direct fidelity: {result.direct_fidelity!r}")
     return 0

@@ -56,6 +56,8 @@ from .transmon import (
 
 # the objectives a config file may name; ly and shifted_quadratic are API-only
 CONFIG_OBJECTIVES = ("lx", "l_combined", "l_rb", "sphere", "cubic")
+# the most grid points a landscape scan evaluates
+MAX_SCAN_CELLS = 10000
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +81,6 @@ class ExperimentConfig:
     base_seed: int = 0
     objective_config: ObjectiveConfig | None = None
     noise_sigma: float = 0.0
-    shift: float = 0.5
     clip_box: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -128,7 +129,6 @@ class SummaryRecord:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     trajectories: list[Trajectory]
     summary: list[SummaryRecord]
     trajectory_paths: list[Path]
@@ -143,7 +143,6 @@ def _build_objective(cfg: ExperimentConfig, rng: np.random.Generator):
         cfg.objective,
         noise_sigma=cfg.noise_sigma,
         seed=rng if cfg.noise_sigma > 0 else None,
-        shift=cfg.shift,
     )
 
 
@@ -164,6 +163,17 @@ def run_single(cfg: ExperimentConfig, repeat_index: int) -> Trajectory:
     )
 
 
+def _run_stage(cfg: ExperimentConfig, repeat_index: int, path: Path) -> Trajectory:
+    """``run_single``, its trajectory written to ``path`` even if it aborts."""
+    try:
+        traj = run_single(cfg, repeat_index)
+    except OptimizationAborted as exc:
+        write_trajectory_csv(path, repeat_index, exc.trajectory)
+        raise
+    write_trajectory_csv(path, repeat_index, traj)
+    return traj
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
     """Run all repeats, persist per-run CSVs and the summary JSONL.
 
@@ -177,33 +187,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentResu
     paths: list[Path] = []
     failures: list[tuple[int, str]] = []
     for r in range(cfg.repeats):
-        path = out / f"{cfg.name}_run{r}.csv"
+        paths.append(out / f"{cfg.name}_run{r}.csv")
         try:
-            traj = run_single(cfg, r)
+            trajectories.append(_run_stage(cfg, r, paths[-1]))
         except OptimizationAborted as exc:
-            write_trajectory_csv(path, r, exc.trajectory)
-            paths.append(path)
             failures.append((r, str(exc)))
             message = f"run {r} failed: {exc}"
             logger.warning(message)
             warnings.warn(message, stacklevel=2)
-            continue
-        write_trajectory_csv(path, r, traj)
-        paths.append(path)
-        trajectories.append(traj)
     if not trajectories:
         raise RuntimeError(f"all {cfg.repeats} runs failed: {failures[0][1]}")
     summary = summarize_trajectories(trajectories)
     summary_path = out / f"{cfg.name}_summary.jsonl"
     write_summary_jsonl(summary_path, summary)
-    return ExperimentResult(
-        config=cfg,
-        trajectories=trajectories,
-        summary=summary,
-        trajectory_paths=paths,
-        summary_path=summary_path,
-        failures=failures,
-    )
+    return ExperimentResult(trajectories, summary, paths, summary_path, failures)
 
 
 def _format_float(x: float) -> str:
@@ -328,7 +325,6 @@ class ScanConfig:
     objective_config: ObjectiveConfig
     values_1: np.ndarray
     values_2: np.ndarray
-    max_cells: int = 10000
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -339,10 +335,10 @@ class ScanConfig:
             or len(self.objective_config.active_dims) != 2
         ):
             raise ConfigError("landscape scans require exactly two active dims")
-        if self.values_1.size * self.values_2.size > self.max_cells:
+        if self.values_1.size * self.values_2.size > MAX_SCAN_CELLS:
             raise ConfigError(
                 f"grid has {self.values_1.size * self.values_2.size} cells, "
-                f"cap is {self.max_cells}"
+                f"cap is {MAX_SCAN_CELLS}"
             )
 
 
@@ -393,8 +389,6 @@ class FinalRBConfig:
 class TuneupResult:
     rough: Trajectory
     fine: Trajectory
-    best_rough: tuple[int, float, np.ndarray]
-    best_fine: tuple[int, float, np.ndarray]
     reference_fit: RBFitResult
     interleaved_fit: RBFitResult
     interleaved_fidelity: float
@@ -419,35 +413,11 @@ def two_stage_tuneup(
         raise ConfigError("fine stage must use the l_rb pulse objective")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        rough = run_single(rough_cfg, 0)
-    except OptimizationAborted as exc:
-        write_trajectory_csv(out / f"{rough_cfg.name}_rough_run0.csv", 0, exc.trajectory)
-        raise
-    write_trajectory_csv(out / f"{rough_cfg.name}_rough_run0.csv", 0, rough)
-    best_rough = rough.best()
-
-    fine_cfg = replace(fine_cfg, initial_theta=best_rough[2])
-    try:
-        fine = run_single(fine_cfg, 0)
-    except OptimizationAborted as exc:
-        write_trajectory_csv(out / f"{fine_cfg.name}_fine_run0.csv", 0, exc.trajectory)
-        raise
-    write_trajectory_csv(out / f"{fine_cfg.name}_fine_run0.csv", 0, fine)
-    best_fine = fine.best()
-
-    result = assess_gate(fine_cfg.objective_config, best_fine[2], final_rb)
-    reference_fit, interleaved_fit, fidelity, direct = result
-    tuneup = TuneupResult(
-        rough=rough,
-        fine=fine,
-        best_rough=best_rough,
-        best_fine=best_fine,
-        reference_fit=reference_fit,
-        interleaved_fit=interleaved_fit,
-        interleaved_fidelity=fidelity,
-        direct_fidelity=direct,
-    )
+    rough = _run_stage(rough_cfg, 0, out / f"{rough_cfg.name}_rough_run0.csv")
+    fine_cfg = replace(fine_cfg, initial_theta=rough.best()[2])
+    fine = _run_stage(fine_cfg, 0, out / f"{fine_cfg.name}_fine_run0.csv")
+    gate = assess_gate(fine_cfg.objective_config, fine.best()[2], final_rb)
+    tuneup = TuneupResult(rough, fine, *gate)
     _write_tuneup_json(out / f"{fine_cfg.name}_tuneup.json", tuneup)
     return tuneup
 
@@ -480,17 +450,13 @@ def assess_gate(
 
 
 def _write_tuneup_json(path: Path, result: TuneupResult) -> None:
-    payload = {
-        "best_rough": {
-            "iteration": result.best_rough[0],
-            "loss": result.best_rough[1],
-            "theta": [float(x) for x in result.best_rough[2]],
-        },
-        "best_fine": {
-            "iteration": result.best_fine[0],
-            "loss": result.best_fine[1],
-            "theta": [float(x) for x in result.best_fine[2]],
-        },
+    payload = {}
+    for stage, trajectory in (("rough", result.rough), ("fine", result.fine)):
+        iteration, loss, theta = trajectory.best()
+        payload[f"best_{stage}"] = {
+            "iteration": iteration, "loss": loss, "theta": [float(x) for x in theta]
+        }
+    payload |= {
         "reference_decay": result.reference_fit.decay_rate,
         "interleaved_decay": result.interleaved_fit.decay_rate,
         "interleaved_fidelity": result.interleaved_fidelity,
@@ -587,35 +553,37 @@ def _parse_objective(section) -> tuple[dict, int | None]:
     return {"objective": name, **rest}, dim
 
 
+# the keys each {kind: ...} form of initial_theta takes
+_THETA_KEYS = {"zeros": ("kind",), "random_uniform": ("kind", "low", "high", "seed")}
+
+
 def _parse_initial_theta(spec, dim: int | None) -> np.ndarray | list:
     if isinstance(spec, (list, tuple)):
-        spec = {"kind": "values", "values": spec}
+        # ExperimentConfig checks the entries
+        if dim is not None and len(spec) != dim:
+            raise ConfigError(
+                f"initial_theta has {len(spec)} values, the dimension is {dim}"
+            )
+        return spec
     if spec is None:
         spec = {"kind": "zeros"}
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("initial_theta must be a list or a {kind: ...} object")
     kind = spec["kind"]
-    if kind not in ("values", "zeros", "random_uniform"):
+    if kind not in tuple(_THETA_KEYS):  # a list-valued kind is not hashable
         raise ConfigError(f"unknown initial_theta kind {kind!r}")
-    if kind != "values" and dim is None:
+    _require_keys(spec, _THETA_KEYS[kind], f"initial_theta of kind {kind!r}")
+    if dim is None:
         raise ConfigError(
             "synthetic objectives need a 'dimension' key or explicit "
             "initial_theta values"
         )
-    seed = spec.get("seed", 0)
-    if kind == "random_uniform" and not is_integer(seed):
-        # a null seed would draw from OS entropy: the run could not be repeated
-        raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
-    if kind == "values":
-        # ExperimentConfig checks the entries
-        values = spec.get("values", [])
-        if dim is not None and isinstance(values, (list, tuple)) and len(values) != dim:
-            raise ConfigError(
-                f"initial_theta has {len(values)} values, the dimension is {dim}"
-            )
-        return values
     if kind == "zeros":
         return np.zeros(dim)
+    seed = spec.get("seed", 0)
+    if not is_integer(seed):
+        # a null seed would draw from OS entropy: the run could not be repeated
+        raise ConfigError(f"initial_theta seed must be an integer, got {seed!r}")
     low, high = spec.get("low", -0.5), spec.get("high", 0.5)
     if not (is_finite_real(low) and is_finite_real(high)):
         raise ConfigError(
@@ -677,10 +645,17 @@ def _scan_values(values, which: str):
     return np.linspace(values["start"], values["stop"], num)
 
 
+def _check_name(config: dict) -> None:
+    """A config's optional top-level ``name`` must be a string."""
+    if not isinstance(config.get("name", ""), str):
+        raise ConfigError(f"name must be a string, got {config['name']!r}")
+
+
 def scan_config_from_dict(config: dict) -> ScanConfig:
     _require_keys(config, ("objective", "scan", "name"), "config")
     if "objective" not in config or "scan" not in config:
         raise ConfigError("scan config needs 'objective' and 'scan' sections")
+    _check_name(config)
     objective, _ = _parse_objective(config["objective"])
     if objective["objective"] not in PULSE_LOSSES:
         raise ConfigError("scan objective must be a pulse loss")
@@ -694,11 +669,20 @@ def tuneup_configs_from_dict(
     config: dict,
 ) -> tuple[ExperimentConfig, ExperimentConfig, FinalRBConfig]:
     _require_keys(config, ("rough", "fine", "final_rb", "name"), "config")
+    _check_name(config)
+    stages = []
     for section in ("rough", "fine"):
         if section not in config:
             raise ConfigError(f"tuneup config needs a {section!r} section")
-    rough = experiment_config_from_dict(config["rough"])
-    fine = experiment_config_from_dict(config["fine"])
+        stage = config[section]
+        # a top-level name names both stages; a stage may repeat it, not change it
+        if "name" in config and isinstance(stage, dict):
+            stage = {"name": config["name"]} | stage
+            if stage["name"] != config["name"]:
+                raise ConfigError(f"{section} name {stage['name']!r} is not the "
+                                  f"tuneup name {config['name']!r}")
+        stages.append(experiment_config_from_dict(stage))
+    rough, fine = stages
     if fine.objective != "l_rb":
         raise ConfigError("fine stage objective must be l_rb")
     final_rb = _from_section(FinalRBConfig, config.get("final_rb", {}), "final_rb")

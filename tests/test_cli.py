@@ -127,6 +127,19 @@ def test_tuneup_runs_end_to_end(tmp_path, capsys):
     assert (out / "cli-tune_tuneup.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:interleaved decay exceeds")
+def test_tuneup_name_names_the_artifacts(tmp_path):
+    config = dict(TUNEUP_CONFIG, name="top")
+    for stage in ("rough", "fine"):
+        config[stage] = {k: v for k, v in TUNEUP_CONFIG[stage].items() if k != "name"}
+    out = tmp_path / "tune"
+    path = write_config(tmp_path, config)
+    assert main(["tuneup", "--config", str(path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "top_fine_run0.csv", "top_rough_run0.csv", "top_tuneup.json",
+    ]
+
+
 def test_validate_reports_each_condition(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -274,6 +287,16 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("run", _with(_with(RUN_CONFIG, ["objective", "dimension"], True),
                       ["initial_theta"], {"kind": "zeros"})),
         ("run", _with(RUN_CONFIG, ["objective", "dimension"], 3)),
+        # every initial_theta form takes only its own keys
+        ("run", _with(RUN_CONFIG, ["initial_theta"],
+                      {"kind": "random_uniform", "low": -1, "hihg": 1, "seed": 1})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], {"kind": "zeros", "values": [1, 2]})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], {"kind": "values", "values": [1, 2]})),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], {"kind": ["zeros"]})),
+        ("scan", _with(SCAN_CONFIG, ["name"], ["a", "b"])),
+        ("scan", _with(SCAN_CONFIG, ["name"], None)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["name"], 5)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["name"], "other")),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -293,6 +316,9 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "overflowing-theta-range", "bool-range-start", "negative-seed",
         "negative-cli-seed", "negative-final-rb-seed", "negative-dimension",
         "fractional-dimension", "bool-dimension", "dimension-over-values",
+        "theta-key-typo", "zeros-with-values", "values-kind", "list-kind",
+        "list-scan-name", "null-scan-name", "int-tuneup-name",
+        "tuneup-name-not-stage-name",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):

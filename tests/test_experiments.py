@@ -370,9 +370,8 @@ def test_scan_config_validation():
         ScanConfig(
             objective="lx",
             objective_config=scan_objective_config(),
-            values_1=np.zeros(4),
-            values_2=np.zeros(3),
-            max_cells=10,
+            values_1=np.zeros(101),
+            values_2=np.zeros(100),
         )
 
 
@@ -497,7 +496,7 @@ def test_two_stage_tuneup_smoke(tmp_path):
         "interleaved_stderr_decay", "interleaved_degenerate",
     }
     # the fine stage starts from the best rough iterate
-    np.testing.assert_array_equal(result.fine.initial_theta, result.best_rough[2])
+    np.testing.assert_array_equal(result.fine.initial_theta, result.rough.best()[2])
     assert 0.0 <= result.direct_fidelity <= 1.0
     # a barely-tuned gate gives a rough ratio estimate; just require sanity
     assert np.isfinite(result.interleaved_fidelity)
@@ -515,7 +514,7 @@ def test_tuneup_keeps_an_already_good_gate(tmp_path):
     final = FinalRBConfig(lengths=(0, 50, 150, 300, 600), n_sequences=8, seed=11)
     result = two_stage_tuneup(rough, fine, tmp_path, final)
 
-    np.testing.assert_array_equal(result.best_fine[2], X90_THETA)
+    np.testing.assert_array_equal(result.fine.best()[2], X90_THETA)
     assert result.direct_fidelity == pytest.approx(1.0, abs=1e-12)
     assert result.interleaved_fidelity >= 0.999
     assert abs(result.interleaved_fidelity - result.direct_fidelity) <= 5e-4
@@ -556,6 +555,46 @@ def test_tuneup_json_records_final_fit_trust(tmp_path):
     assert payload["reference_stderr_decay"] == result.reference_fit.stderr_decay
     assert payload["interleaved_stderr_decay"] is None
     assert payload["interleaved_degenerate"] is True
+
+
+def _records(traj):
+    return [(r.iteration, r.n_evals, r.loss, r.a_t, r.c_t, r.beta_t, r.theta.tolist())
+            for r in traj.records]
+
+
+@pytest.mark.parametrize("failing", ["rough", "fine"])
+def test_aborted_tuneup_stage_keeps_its_trajectories(tmp_path, monkeypatch, failing):
+    # the failing stage aborts after its first update: every stage that
+    # ran leaves its CSV, whole or partial, and no tuneup JSON is written
+    real, ran = experiments.run_single, {}
+
+    def aborting(cfg, r):
+        stage = "fine" if cfg.objective == "l_rb" else "rough"
+        ran[stage] = traj = real(cfg, r)
+        if stage == failing:
+            partial = Trajectory(traj.initial_theta, traj.initial_loss, traj.records[:1])
+            raise OptimizationAborted("objective failed at iteration 2", partial)
+        return traj
+
+    monkeypatch.setattr(experiments, "run_single", aborting)
+    rough = pulse_config(name="tune", budget=6, objective="l_combined",
+                         objective_config=ObjectiveConfig(transmon=TWO_LEVEL, shots=0))
+    fine = pulse_config(name="tune", budget=6, objective="l_rb",
+                        objective_config=rb_objective_config())
+    with pytest.raises(OptimizationAborted, match="iteration 2"):
+        two_stage_tuneup(rough, fine, tmp_path, FinalRBConfig(n_sequences=2))
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"tune_{stage}_run0.csv" for stage in ran
+    )
+    for stage, whole in ran.items():
+        assert len(whole.records) == 3
+        run_id, written = read_trajectory_csv(tmp_path / f"tune_{stage}_run0.csv")
+        assert run_id == 0
+        assert written.initial_loss == whole.initial_loss
+        np.testing.assert_array_equal(written.initial_theta, whole.initial_theta)
+        kept = 1 if stage == failing else 3
+        assert _records(written) == _records(whole)[:kept]
 
 
 def test_tuneup_stage_validation(tmp_path):
@@ -747,6 +786,9 @@ def test_readme_config_examples_parse():
     scan = scan_config_from_dict(_readme_example("scan"))
     assert scan.objective_config.active_dims == (0, 10)
     assert scan.values_1.size == scan.values_2.size == 41
+    rough, fine, _ = tuneup_configs_from_dict(_readme_example("tuneup"))
+    assert rough.name == fine.name == "x90"
+    assert (rough.objective, fine.objective) == ("l_combined", "l_rb")
 
 
 def test_initial_theta_kinds():
@@ -813,3 +855,23 @@ def test_tuneup_configs_from_dict():
         tuneup_configs_from_dict({"rough": pulse_dict(), "fine": pulse_dict()})
     with pytest.raises(ConfigError, match="needs a 'rough'"):
         tuneup_configs_from_dict({"fine": pulse_dict()})
+
+
+def test_tuneup_name_names_both_stages():
+    fine = pulse_dict(
+        objective={"objective": "l_rb", "n_levels": 2, "rb_lengths": [0, 2, 5]},
+        initial_theta=[0.0] * 20,
+    )
+    unnamed = {key: v for key, v in pulse_dict().items() if key != "name"}
+    rough, fine_cfg, _ = tuneup_configs_from_dict(
+        {"name": "top", "rough": unnamed, "fine": fine | {"name": "top"}}
+    )
+    assert rough.name == fine_cfg.name == "top"
+    # without a top-level name each stage keeps its own
+    rough, fine_cfg, _ = tuneup_configs_from_dict({"rough": unnamed, "fine": fine})
+    assert (rough.name, fine_cfg.name) == ("experiment", "pulse-demo")
+    with pytest.raises(ConfigError, match="fine name 'pulse-demo' is not the tuneup name 'top'"):
+        tuneup_configs_from_dict({"name": "top", "rough": unnamed, "fine": fine})
+    for name in (5, None, ["top"]):
+        with pytest.raises(ConfigError, match="name must be a string"):
+            tuneup_configs_from_dict({"name": name, "rough": unnamed, "fine": fine})
