@@ -5,14 +5,13 @@ an annealed-momentum Adam with a few-level pulse simulator, calibration
 losses, randomized benchmarking, and a reproducible experiment runner.
 """
 
+import types
+
 from .estimators import (
     EstimatorConfig,
     GradientEstimate,
     ObjectiveError,
     estimate_gradient,
-    fdsa_gradient,
-    rsgf_gradient,
-    spsa_gradient,
 )
 from .experiments import (
     ConfigError,
@@ -65,7 +64,6 @@ from .schedules import (
     ConditionCheck,
     ScheduleSet,
     ValidationReport,
-    power_law_value,
     validate_schedules,
 )
 from .transmon import (
@@ -83,66 +81,8 @@ from .transmon import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "CliffordGroup",
-    "ConditionCheck",
-    "ConfigError",
-    "EstimatorConfig",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FinalRBConfig",
-    "GradientEstimate",
-    "ObjectiveConfig",
-    "ObjectiveError",
-    "OptimizationAborted",
-    "PopulationMeasurement",
-    "PulseSequence",
-    "RBData",
-    "RBFitError",
-    "RBFitResult",
-    "ScanConfig",
-    "ScheduleSet",
-    "SummaryRecord",
-    "Trajectory",
-    "TrajectoryRecord",
-    "TransmonParams",
-    "TuneupResult",
-    "UnitarityError",
-    "ValidationReport",
-    "adam_step",
-    "average_gate_fidelity",
-    "clifford_group",
-    "embed_qubit_gate",
-    "estimate_gradient",
-    "evolve",
-    "experiment_config_from_dict",
-    "fdsa_gradient",
-    "fit_rb_decay",
-    "hann_waveform",
-    "interleaved_gate_fidelity",
-    "landscape_scan",
-    "make_pulse_objective",
-    "measure_population",
-    "momentum_step",
-    "power_law_value",
-    "read_summary_jsonl",
-    "read_trajectory_csv",
-    "rotation_unitary",
-    "rsgf_gradient",
-    "run_experiment",
-    "run_optimization",
-    "run_rb",
-    "run_single",
-    "scan_config_from_dict",
-    "sgd_step",
-    "spsa_gradient",
-    "summarize_trajectories",
-    "synthetic_objective",
-    "tuneup_configs_from_dict",
-    "two_stage_tuneup",
-    "validate_schedules",
-    "write_scan_csv",
-    "write_summary_jsonl",
-    "write_trajectory_csv",
-]
+# the public names imported above; the submodules are not re-exported
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

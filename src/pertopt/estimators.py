@@ -136,21 +136,3 @@ def estimate_gradient(
     # the sum over samples, then one division: the bits of rows.mean(axis=0)
     return GradientEstimate(g_hat=rows.sum(axis=0) / n, n_evaluations=len(points))
 
-
-def fdsa_gradient(f: Objective, theta: np.ndarray, c: float) -> GradientEstimate:
-    """Central differences (``2 * len(theta)`` calls), exact on quadratics."""
-    return estimate_gradient(f, theta, EstimatorConfig("fdsa"), c, None)
-
-
-def spsa_gradient(
-    f: Objective, theta: np.ndarray, c: float, rng: np.random.Generator
-) -> GradientEstimate:
-    """Simultaneous-perturbation estimate with a fresh Rademacher draw."""
-    return estimate_gradient(f, theta, EstimatorConfig("spsa"), c, rng)
-
-
-def rsgf_gradient(
-    f: Objective, theta: np.ndarray, c: float, rng: np.random.Generator
-) -> GradientEstimate:
-    """One-sided Gaussian-direction estimate: a baseline plus one probe."""
-    return estimate_gradient(f, theta, EstimatorConfig("rsgf"), c, rng)

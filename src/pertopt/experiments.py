@@ -85,6 +85,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        _check_name(self.name)
         if self.objective not in (*PULSE_LOSSES, *SYNTHETIC_OBJECTIVES):
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.update_rule not in UPDATE_RULES:
@@ -645,17 +646,23 @@ def _scan_values(values, which: str):
     return np.linspace(values["start"], values["stop"], num)
 
 
-def _check_name(config: dict) -> None:
-    """A config's optional top-level ``name`` must be a string."""
-    if not isinstance(config.get("name", ""), str):
-        raise ConfigError(f"name must be a string, got {config['name']!r}")
+def _check_name(name) -> None:
+    """A config ``name`` must be a string and one file-name component.
+
+    Artifacts are written as ``<out>/<name>_...``: a path separator would
+    put them outside the output directory, or in one that does not exist.
+    """
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
+    if any(sep in name for sep in (os.sep, os.altsep) if sep):
+        raise ConfigError(f"name must be a single file-name component, got {name!r}")
 
 
 def scan_config_from_dict(config: dict) -> ScanConfig:
     _require_keys(config, ("objective", "scan", "name"), "config")
     if "objective" not in config or "scan" not in config:
         raise ConfigError("scan config needs 'objective' and 'scan' sections")
-    _check_name(config)
+    _check_name(config.get("name", ""))
     objective, _ = _parse_objective(config["objective"])
     if objective["objective"] not in PULSE_LOSSES:
         raise ConfigError("scan objective must be a pulse loss")
@@ -669,7 +676,7 @@ def tuneup_configs_from_dict(
     config: dict,
 ) -> tuple[ExperimentConfig, ExperimentConfig, FinalRBConfig]:
     _require_keys(config, ("rough", "fine", "final_rb", "name"), "config")
-    _check_name(config)
+    _check_name(config.get("name", ""))
     stages = []
     for section in ("rough", "fine"):
         if section not in config:
@@ -683,7 +690,5 @@ def tuneup_configs_from_dict(
                                   f"tuneup name {config['name']!r}")
         stages.append(experiment_config_from_dict(stage))
     rough, fine = stages
-    if fine.objective != "l_rb":
-        raise ConfigError("fine stage objective must be l_rb")
     final_rb = _from_section(FinalRBConfig, config.get("final_rb", {}), "final_rb")
     return rough, fine, final_rb

@@ -67,7 +67,6 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
     weight_mass_m: float = 0.0
     weight_mass_v: float = 0.0
 
@@ -99,12 +98,9 @@ def momentum_step(
     _check_coefficients(a_t, beta_t)
     m = beta_t * state.m + (1.0 - beta_t) * g
     w_m = beta_t * state.weight_mass_m + (1.0 - beta_t)
+    # no step changes a moment array in place, so v passes on as is
     new_state = AdamState(
-        m=m,
-        v=state.v.copy(),
-        t=state.t + 1,
-        weight_mass_m=w_m,
-        weight_mass_v=state.weight_mass_v,
+        m=m, v=state.v, weight_mass_m=w_m, weight_mass_v=state.weight_mass_v
     )
     return new_state, theta - a_t * (m / w_m)
 
@@ -134,9 +130,7 @@ def adam_step(
     v_hat = v / w_v
     if (v_hat < 0).any():
         raise RuntimeError("second-moment renormalization went negative")
-    new_state = AdamState(
-        m=m, v=v, t=state.t + 1, weight_mass_m=w_m, weight_mass_v=w_v
-    )
+    new_state = AdamState(m=m, v=v, weight_mass_m=w_m, weight_mass_v=w_v)
     return new_state, theta - a_t * m_hat / (np.sqrt(v_hat) + delta)
 
 

@@ -100,13 +100,15 @@ class CliffordGroup:
         return len(self.unitaries)
 
 
-def build_clifford_group() -> CliffordGroup:
+@functools.lru_cache(maxsize=1)
+def clifford_group() -> CliffordGroup:
     """Breadth-first closure of the generator set; checks order 24.
 
     The closure meets every product of an element and a generator once and
     records which element it is.  Column ``j`` of ``multiplication`` walks
     decomposition ``j`` over that successor table from every element, so
-    the tables take integer lookups, not matrix products.
+    the tables take integer lookups, not matrix products.  The result is
+    memoized, as the construction is pure.
     """
     elements: list[np.ndarray] = []
     decomps: list[tuple[int, ...]] = []
@@ -147,12 +149,6 @@ def build_clifford_group() -> CliffordGroup:
         inverse=inverse,
         x90_element=int(successor[0, X90_GENERATOR_INDEX]),
     )
-
-
-@functools.lru_cache(maxsize=1)
-def clifford_group() -> CliffordGroup:
-    """Memoized group instance (construction is pure)."""
-    return build_clifford_group()
 
 
 def compile_cliffords(group: CliffordGroup, gate_under_test: np.ndarray) -> np.ndarray:

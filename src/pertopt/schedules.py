@@ -11,29 +11,9 @@ never blocks a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .transmon import check_fields, is_integer
-
-
-def power_law_value(coeff: float, exponent: float, t: int) -> float:
-    """Evaluate ``coeff / t**exponent`` at integer step ``t >= 1``.
-
-    Examples
-    --------
-    >>> power_law_value(0.5, 0.0, 7)
-    0.5
-    >>> round(power_law_value(1.0, 1.0, 4), 12)
-    0.25
-    """
-    if not t < 1:  # a bad step is _power_law's error
-        for name, value in (("coefficient", coeff), ("exponent", exponent)):
-            if not 0.0 <= value < math.inf:  # NaN fails this too
-                raise ValueError(
-                    f"schedule {name} must be >= 0 and finite, got {value}"
-                )
-    return _power_law(coeff, exponent, t)
 
 
 def _power_law(coeff: float, exponent: float, t: int) -> float:
@@ -71,8 +51,13 @@ class ScheduleSet:
             raise ValueError(f"a0 must be > 0, got {self.a0}")
         if self.c0 <= 0:
             raise ValueError(f"c0 must be > 0, got {self.c0}")
-        if self.alpha < 0 or self.zeta < 0 or self.lam < 0:
-            raise ValueError("schedule exponents must be >= 0")
+        for name in ("alpha", "zeta", "lam"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {value} (schedule exponents "
+                    "are non-negative)"
+                )
         if not 0.0 <= self.beta0 < 1.0:
             raise ValueError(f"beta0 must lie in [0, 1), got {self.beta0}")
         if not 0.0 <= self.gamma < 1.0:

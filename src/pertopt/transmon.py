@@ -155,7 +155,7 @@ def hann_windows(n_basis: int, duration: float, dt: float) -> np.ndarray:
     ratio = duration / dt
     n_segments = int(round(ratio))
     if n_segments < 1 or abs(ratio - n_segments) > 1e-9:
-        raise ValueError(f"dt={dt} does not evenly divide duration={duration}")
+        raise ValueError(f"dt = {dt} does not evenly divide duration = {duration}")
     t_mid = dt * (np.arange(n_segments) + 0.5)
     # rows: basis index i = 1..n_basis evaluated at every midpoint
     indices = np.arange(1, n_basis + 1)

@@ -24,17 +24,15 @@ from pertopt import (
     TransmonParams,
     adam_step,
     average_gate_fidelity,
+    estimate_gradient,
     evolve,
-    fdsa_gradient,
     hann_waveform,
     read_summary_jsonl,
     read_trajectory_csv,
     rotation_unitary,
-    rsgf_gradient,
     run_experiment,
     run_rb,
     run_single,
-    spsa_gradient,
     summarize_trajectories,
     two_stage_tuneup,
     validate_schedules,
@@ -103,10 +101,13 @@ def test_2_estimator_statistics():
 
         # Monte-Carlo mean of each random-direction estimator within 3
         # standard errors of the analytic gradient, 10^4 samples.
-        for sampler, seed in ((spsa_gradient, 11), (rsgf_gradient, 12)):
-            rng = np.random.default_rng(seed)
+        for method, seed in (("spsa", 11), ("rsgf", 12)):
+            rng, cfg = np.random.default_rng(seed), EstimatorConfig(method)
             draws = np.stack(
-                [sampler(sphere, theta, 0.01, rng).g_hat for _ in range(10_000)]
+                [
+                    estimate_gradient(sphere, theta, cfg, 0.01, rng).g_hat
+                    for _ in range(10_000)
+                ]
             )
             se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
             assert np.all(np.abs(draws.mean(axis=0) - true_grad) <= 3.0 * se)
@@ -116,13 +117,16 @@ def test_2_estimator_statistics():
         b_vec = np.array([0.5, -1.0, 0.25])
         quad = lambda x: float(x @ a_mat @ x + b_vec @ x)  # noqa: E731
         x0 = np.array([0.4, -0.7, 1.2])
-        g = fdsa_gradient(quad, x0, 0.1).g_hat
+        fdsa = EstimatorConfig("fdsa")
+        g = estimate_gradient(quad, x0, fdsa, 0.1, None).g_hat
         assert np.max(np.abs(g - (2.0 * a_mat @ x0 + b_vec))) <= 1e-10
 
         # Cubic curvature bias scales with c^2: halving c quarters it.
         cubic = lambda x: float(np.sum(x**3))  # noqa: E731
         x1 = np.array([1.0])
-        bias = lambda c: abs(fdsa_gradient(cubic, x1, c).g_hat[0] - 3.0)  # noqa: E731
+        bias = lambda c: abs(  # noqa: E731
+            estimate_gradient(cubic, x1, fdsa, c, None).g_hat[0] - 3.0
+        )
         assert 3.0 <= bias(0.2) / bias(0.1) <= 5.0
 
         # Measurement noise enters the estimate as sigma/c: halving c
@@ -133,7 +137,10 @@ def test_2_estimator_statistics():
         spreads = {}
         for c in (0.002, 0.001):
             draws = np.stack(
-                [fdsa_gradient(noisy, x2, c).g_hat for _ in range(3000)]
+                [
+                    estimate_gradient(noisy, x2, fdsa, c, None).g_hat
+                    for _ in range(3000)
+                ]
             )
             spreads[c] = draws.std(axis=0, ddof=1).mean()
         assert 1.7 <= spreads[0.001] / spreads[0.002] <= 2.3

@@ -297,6 +297,7 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("scan", _with(SCAN_CONFIG, ["name"], None)),
         ("tuneup", _with(TUNEUP_CONFIG, ["name"], 5)),
         ("tuneup", _with(TUNEUP_CONFIG, ["name"], "other")),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "objective"], "lx")),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -318,7 +319,7 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "fractional-dimension", "bool-dimension", "dimension-over-values",
         "theta-key-typo", "zeros-with-values", "values-kind", "list-kind",
         "list-scan-name", "null-scan-name", "int-tuneup-name",
-        "tuneup-name-not-stage-name",
+        "tuneup-name-not-stage-name", "fine-stage-not-l_rb",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
@@ -342,8 +343,17 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
          "invalid estimator: estimator must be a string, got 3"),
         ("scan", _with(SCAN_CONFIG, ["objective", "duration_ns"], "a"),
          "invalid objective: duration_ns must be a finite number, got 'a'"),
+        ("run", _with(RUN_CONFIG, ["schedules", "lambda"], -1),
+         "invalid schedules: lambda must be >= 0, got -1"),
+        ("run", _with(RUN_CONFIG, ["schedules", "zeta"], -1),
+         "invalid schedules: zeta must be >= 0, got -1"),
+        ("scan", _with(SCAN_CONFIG, ["objective", "dt_ns"], 3),
+         "invalid objective: dt_ns = 3 does not evenly divide duration = 20.0"),
     ],
-    ids=["lambda", "seed", "negative-seed", "estimator", "duration_ns"],
+    ids=[
+        "lambda", "seed", "negative-seed", "estimator", "duration_ns",
+        "negative-lambda", "negative-zeta", "dt_ns",
+    ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
     # the dataclass field behind a renamed key (lam, base_seed, method,
@@ -351,6 +361,37 @@ def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, m
     path = write_config(tmp_path, config)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+def _unnamed_stages(config, name):
+    """A tune-up ``config`` whose stages take their name from ``name``."""
+    stages = {
+        stage: {k: v for k, v in config[stage].items() if k != "name"}
+        for stage in ("rough", "fine")
+    }
+    return config | stages | {"name": name}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("scan", _with(SCAN_CONFIG, ["name"], "../escaped")),
+        ("tuneup", _unnamed_stages(TUNEUP_CONFIG, "../up")),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "name"], "../up")),
+        ("run", _with(RUN_CONFIG, ["name"], "sub/x")),
+    ],
+    ids=["scan-parent", "tuneup-parent", "tuneup-stage-parent", "run-subdirectory"],
+)
+def test_name_with_a_path_separator_exits_1_and_writes_nothing(
+    tmp_path, capsys, command, config
+):
+    # artifacts are named <out>/<name>_...: a separator in the name used to
+    # write beside --out, or fail at the write after the whole experiment
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "name must be a single file-name component" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

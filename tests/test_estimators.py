@@ -11,9 +11,6 @@ from pertopt import (
     EstimatorConfig,
     ObjectiveError,
     estimate_gradient,
-    fdsa_gradient,
-    rsgf_gradient,
-    spsa_gradient,
 )
 
 
@@ -37,7 +34,9 @@ class CountingObjective:
 
 
 def test_fdsa_hand_value_on_sphere():
-    est = fdsa_gradient(sphere, np.array([1.0, 0.0]), c=0.1)
+    est = estimate_gradient(
+        sphere, np.array([1.0, 0.0]), EstimatorConfig("fdsa"), 0.1, None
+    )
     # ((1.1)^2 - (0.9)^2) / 0.2 = 2 exactly; same for the zero coordinate
     np.testing.assert_allclose(est.g_hat, [2.0, 0.0], atol=1e-13)
     assert est.n_evaluations == 4
@@ -55,7 +54,7 @@ def test_fdsa_exact_on_random_quadratics():
         def quad(x):
             return 0.5 * float(x @ h @ x) + float(b @ x)
 
-        est = fdsa_gradient(quad, theta, c=0.05)
+        est = estimate_gradient(quad, theta, EstimatorConfig("fdsa"), 0.05, None)
         np.testing.assert_allclose(est.g_hat, h @ theta + b, atol=1e-10)
 
 
@@ -66,7 +65,9 @@ def test_spsa_hand_values_forced_directions():
     seen = set()
     for seed in range(8):
         delta = 2.0 * np.random.default_rng(seed).integers(0, 2, size=2) - 1.0
-        est = spsa_gradient(sphere, theta, 0.1, np.random.default_rng(seed))
+        est = estimate_gradient(
+            sphere, theta, EstimatorConfig("spsa"), 0.1, np.random.default_rng(seed)
+        )
         np.testing.assert_allclose(est.g_hat, 2.0 * delta[0] / delta, atol=1e-13)
         assert est.n_evaluations == 2
         seen.add(tuple(delta[0] * delta))
@@ -78,20 +79,22 @@ def test_rsgf_hand_value_forced_direction():
     theta, c = np.array([1.0, 0.0]), 0.1
     f = CountingObjective(sphere)
     u = np.random.default_rng(4).standard_normal(2)
-    est = rsgf_gradient(f, theta, c, np.random.default_rng(4))
+    est = estimate_gradient(
+        f, theta, EstimatorConfig("rsgf"), c, np.random.default_rng(4)
+    )
     np.testing.assert_allclose(est.g_hat, (2.0 * u[0] + c * (u @ u)) * u, atol=1e-13)
     assert est.n_evaluations == f.calls == 2
     np.testing.assert_array_equal(f.points[0], theta)  # the baseline
 
 
 def test_positive_perturbation_required():
-    for fn in (
-        lambda: fdsa_gradient(sphere, np.zeros(2), 0.0),
-        lambda: spsa_gradient(sphere, np.zeros(2), -0.1, np.random.default_rng(0)),
-        lambda: rsgf_gradient(sphere, np.zeros(2), 0.0, np.random.default_rng(0)),
+    for method, c, rng in (
+        ("fdsa", 0.0, None),
+        ("spsa", -0.1, np.random.default_rng(0)),
+        ("rsgf", 0.0, np.random.default_rng(0)),
     ):
         with pytest.raises(ValueError, match="must be > 0"):
-            fn()
+            estimate_gradient(sphere, np.zeros(2), EstimatorConfig(method), c, rng)
 
 
 @pytest.mark.parametrize("method", ["fdsa", "spsa", "rsgf"])
@@ -122,7 +125,10 @@ def test_spsa_mean_matches_analytic_gradient():
     grad = 2.0 * theta
     rng = np.random.default_rng(42)
     samples = np.array(
-        [spsa_gradient(sphere, theta, 0.01, rng).g_hat for _ in range(10_000)]
+        [
+            estimate_gradient(sphere, theta, EstimatorConfig("spsa"), 0.01, rng).g_hat
+            for _ in range(10_000)
+        ]
     )
     se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
     assert np.all(np.abs(samples.mean(axis=0) - grad) <= 3.0 * se + 1e-12)
@@ -133,7 +139,10 @@ def test_rsgf_mean_matches_analytic_gradient():
     grad = 2.0 * theta
     rng = np.random.default_rng(43)
     samples = np.array(
-        [rsgf_gradient(sphere, theta, 0.01, rng).g_hat for _ in range(10_000)]
+        [
+            estimate_gradient(sphere, theta, EstimatorConfig("rsgf"), 0.01, rng).g_hat
+            for _ in range(10_000)
+        ]
     )
     se = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
     assert np.all(np.abs(samples.mean(axis=0) - grad) <= 3.0 * se + 1e-12)
@@ -143,8 +152,9 @@ def test_fdsa_bias_on_cubic_quarters_when_c_halves():
     # d/dx x^3 = 3 at x = 1; central difference gives 3 + c^2
     cube = lambda th: float(th[0] ** 3)
     theta = np.array([1.0])
-    bias_large = fdsa_gradient(cube, theta, 0.1).g_hat[0] - 3.0
-    bias_small = fdsa_gradient(cube, theta, 0.05).g_hat[0] - 3.0
+    fdsa = EstimatorConfig("fdsa")
+    bias_large = estimate_gradient(cube, theta, fdsa, 0.1, None).g_hat[0] - 3.0
+    bias_small = estimate_gradient(cube, theta, fdsa, 0.05, None).g_hat[0] - 3.0
     assert bias_large / bias_small == pytest.approx(4.0, abs=1e-6)
     assert 3.0 <= bias_large / bias_small <= 5.0
 
@@ -158,7 +168,10 @@ def test_spsa_bias_on_cubic_halving_ratio():
     biases = {}
     for c in (0.8, 0.4):
         draws = np.array(
-            [spsa_gradient(cube, theta, c, rng).g_hat for _ in range(100_000)]
+            [
+                estimate_gradient(cube, theta, EstimatorConfig("spsa"), c, rng).g_hat
+                for _ in range(100_000)
+            ]
         )
         biases[c] = np.abs(draws.mean(axis=0) - 3.0 * theta**2).mean()
     ratio = biases[0.8] / biases[0.4]
@@ -319,14 +332,18 @@ def test_raising_objective_becomes_objective_error_with_probe():
         raise ValueError("hardware went away")
 
     with pytest.raises(ObjectiveError, match=re.escape("probe +c*e_0")):
-        fdsa_gradient(broken, np.zeros(2), 0.1)
+        estimate_gradient(broken, np.zeros(2), EstimatorConfig("fdsa"), 0.1, None)
 
 
 def test_non_finite_value_is_rejected():
     bad = lambda theta: float("nan")
     with pytest.raises(ObjectiveError, match="non-finite"):
-        spsa_gradient(bad, np.zeros(2), 0.1, np.random.default_rng(0))
+        estimate_gradient(
+            bad, np.zeros(2), EstimatorConfig("spsa"), 0.1, np.random.default_rng(0)
+        )
 
     inf = lambda theta: float("inf")
     with pytest.raises(ObjectiveError, match="non-finite"):
-        rsgf_gradient(inf, np.zeros(2), 0.1, np.random.default_rng(0))
+        estimate_gradient(
+            inf, np.zeros(2), EstimatorConfig("rsgf"), 0.1, np.random.default_rng(0)
+        )

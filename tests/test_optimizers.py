@@ -70,7 +70,6 @@ def test_momentum_does_not_touch_second_moment():
     state, _ = momentum_step(state, np.zeros(2), np.ones(2), 0.1, 0.9)
     np.testing.assert_array_equal(state.v, np.zeros(2))
     assert state.weight_mass_v == 0.0
-    assert state.t == 1
 
 
 # ----------------------------------------------------------------- adam

@@ -5,32 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pertopt import ScheduleSet, power_law_value, validate_schedules
+from pertopt import ScheduleSet, validate_schedules
 
 
 def test_power_law_first_step_returns_coefficient():
-    assert power_law_value(0.032, 0.602, 1) == 0.032
-    assert power_law_value(0.016, 0.101, 1) == 0.016
+    s = ScheduleSet(a0=0.032, alpha=0.602, c0=0.016, zeta=0.101)
+    assert s.learning_rate(1) == 0.032
+    assert s.perturbation_size(1) == 0.016
 
 
 def test_power_law_frozen_values():
     # 0.032 / 2**0.602 and 0.016 / 10**0.101
-    assert np.isclose(power_law_value(0.032, 0.602, 2), 0.02108287922774624, atol=1e-15)
-    assert np.isclose(power_law_value(0.016, 0.101, 10), 0.012680021287687549, atol=1e-15)
+    s = ScheduleSet(a0=0.032, alpha=0.602, c0=0.016, zeta=0.101)
+    assert np.isclose(s.learning_rate(2), 0.02108287922774624, atol=1e-15)
+    assert np.isclose(s.perturbation_size(10), 0.012680021287687549, atol=1e-15)
 
 
 def test_power_law_zero_exponent_is_constant():
+    s = ScheduleSet(beta0=0.999, lam=0.0)
     for t in (1, 7, 1000):
-        assert power_law_value(0.999, 0.0, t) == 0.999
+        assert s.momentum_coeff(t) == 0.999
 
 
 @pytest.mark.parametrize(
     "coeff, exponent, t, match",
     [
-        (np.nan, 0.5, 3, "coefficient"),
-        (np.inf, 0.5, 3, "coefficient"),
-        (1.0, np.nan, 3, "exponent"),
-        (1.0, np.inf, 3, "exponent"),
         (1.0, 0.5, 1.5, "step"),
         (1.0, 0.5, np.nan, "step"),
         (1.0, 0.5, True, "step"),
@@ -39,15 +38,18 @@ def test_power_law_zero_exponent_is_constant():
 def test_power_law_refuses_non_finite_constants_and_fractional_steps(
     coeff, exponent, t, match
 ):
+    # ScheduleSet refuses non-finite constants itself, see
+    # test_schedule_coefficients_must_be_finite_numbers
     with pytest.raises(ValueError, match=match):
-        power_law_value(coeff, exponent, t)
+        ScheduleSet(a0=coeff, alpha=exponent).learning_rate(t)
 
 
 def test_power_law_rejects_bad_steps():
+    s = ScheduleSet(a0=1.0, alpha=0.5)
     with pytest.raises(ValueError, match="step must be >= 1"):
-        power_law_value(1.0, 0.5, 0)
+        s.learning_rate(0)
     with pytest.raises(ValueError, match="step must be >= 1"):
-        power_law_value(1.0, 0.5, -3)
+        s.learning_rate(-3)
 
 
 def test_schedule_set_per_step_values():
