@@ -87,7 +87,8 @@ class CliffordGroup:
     them shortest first.  ``multiplication[i, j]`` is the element equal to
     applying ``i`` then ``j``; ``inverse[i]`` composes with ``i`` to the
     identity (element 0).  ``x90_element`` is the element equal to the
-    X90 generator.
+    X90 generator.  All arrays are read-only; ``multiplication`` is
+    ``uint16``.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -108,7 +109,8 @@ def clifford_group() -> CliffordGroup:
     records which element it is.  Column ``j`` of ``multiplication`` walks
     decomposition ``j`` over that successor table from every element, so
     the tables take integer lookups, not matrix products.  The result is
-    memoized, as the construction is pure.
+    memoized, as the construction is pure, so its arrays are read-only:
+    one caller's write would otherwise reach every later caller.
     """
     elements: list[np.ndarray] = []
     decomps: list[tuple[int, ...]] = []
@@ -133,7 +135,8 @@ def clifford_group() -> CliffordGroup:
     if n != 24:
         raise RuntimeError(f"Clifford closure found {n} elements")
     successor = np.array(successor)
-    multiplication = np.empty((n, n), dtype=np.intp)
+    # uint16 as run_rb reads it: its code blocks are uint16
+    multiplication = np.empty((n, n), dtype=np.uint16)
     for j, decomp in enumerate(decomps):
         column = np.arange(n)
         for g_idx in decomp:
@@ -142,6 +145,8 @@ def clifford_group() -> CliffordGroup:
     rows, inverse = np.nonzero(multiplication == 0)
     if not np.array_equal(rows, np.arange(n)):
         raise RuntimeError("an element lacks a unique group inverse")
+    for array in (multiplication, inverse, *elements):
+        array.flags.writeable = False
     return CliffordGroup(
         unitaries=tuple(elements),
         decompositions=tuple(decomps),
@@ -197,16 +202,21 @@ def run_rb(
     is the measured ground population.  ``interleaved=True`` inserts the
     gate under test after every Clifford.
 
-    The Clifford indices are drawn one ``(n_sequences, m)`` block per
-    length in ladder order; with ``shots > 0`` the per-sequence
-    measurement draws follow, also in ladder order.  Each block goes
-    straight into ``uint16`` pair codes, ``b * 25 + a`` for Clifford ``a``
-    then ``b``, where 24 stands for the identity.  All sequences are then
-    stepped together, one code per row and step: a table of all ordered
-    products of two step matrices (and the identity) is built once per
-    call.  Rows are sorted by descending length, so the rows still running
-    form a prefix; past its own length a row holds the identity pair, and
-    an odd length's last pair ends with the identity.  Each row's
+    The Clifford indices are drawn one ``(n_sequences, m)`` ``int32`` block
+    per length in ladder order (numpy serves ``int32`` and ``int64`` from
+    the same bounded 32-bit generator, so the values and the stream are
+    those of the default ``int64`` draw); with ``shots > 0`` the
+    per-sequence measurement draws follow, also in ladder order.  Each
+    block goes straight into ``uint16`` pair codes, ``b * 25 + a`` for
+    Clifford ``a`` then ``b``, where 24 stands for the identity.  All
+    sequences are then stepped together, one code per row and step: a
+    table of all ordered products of two step matrices (and the identity)
+    is built once per call.  Rows are sorted by descending length, so the
+    rows still running form a prefix: a row is stepped only while its
+    length exceeds ``2 s``, so no code past its own pairs is read, and an
+    odd length's last pair ends with the identity.  Between two ladder
+    lengths the running prefix is fixed: it is stepped as one compact
+    state, each product a fresh array, and written back once.  Each row's
     composite element comes from its codes through a 625-entry table of
     pair elements (folding in the identity and any interleaved X90), then
     by multiplying neighbours pairwise (the group product is associative,
@@ -227,7 +237,7 @@ def run_rb(
     rng = np.random.default_rng(seed)
     group = clifford_group()
     # flat uint16 tables and takes keep a long ladder's blocks small
-    n_group, table = len(group), group.multiplication.astype(np.uint16)
+    n_group, table = len(group), group.multiplication
     compiled = compile_cliffords(group, gate)
     step_matrices, step_elements = compiled, np.arange(n_group)
     if interleaved:
@@ -259,11 +269,14 @@ def run_rb(
     slot[order] = np.arange(order.size)
     n_rows = lengths.size * n_sequences
     n_pairs = (lengths.max() + 1) // 2
-    codes = np.full((n_pairs, n_rows), n_ext * n_ext - 1, dtype=np.uint16)
+    # each block writes only its own pairs; nothing reads past them
+    codes = np.empty((n_pairs, n_rows), dtype=np.uint16)
     composite = np.zeros(n_rows, dtype=np.uint16)
     for li, m in enumerate(lengths):
         rows = slice(slot[li] * n_sequences, (slot[li] + 1) * n_sequences)
-        draw = rng.integers(0, n_group, size=(n_sequences, m)).T.astype(np.uint16)
+        draw = rng.integers(
+            0, n_group, size=(n_sequences, m), dtype=np.int32
+        ).T.astype(np.uint16)
         pair_codes = codes[:(m + 1) // 2, rows]
         pair_codes[:m // 2] = draw[1::2]
         # an odd length's last pair ends with the identity
@@ -280,13 +293,15 @@ def run_rb(
 
     psi = np.zeros((n_rows, n_levels), dtype=complex)
     psi[:, 0] = 1.0
-    # the rows longer than 2s still run at step s
-    n_active = n_sequences * np.searchsorted(
-        -lengths[order], -np.arange(0, lengths.max(), 2)
-    )
-    for s, k in enumerate(n_active):
-        steps = pairs.take(codes[s, :k], axis=0)
-        psi[:k] = np.einsum("rij,rj->ri", steps, psi[:k])
+    # ends[b] counts block b's pairs, longest block first: the first c
+    # blocks alone run from step ends[c] to ends[c - 1], as one compact state
+    ends = np.append((lengths[order] + 1) // 2, 0).tolist()
+    for c in range(lengths.size, 0, -1):
+        k = c * n_sequences
+        state = psi[:k]
+        for row in codes[ends[c]:ends[c - 1], :k]:
+            state = np.einsum("rij,rj->ri", pairs.take(row, axis=0), state)
+        psi[:k] = state
     recovery = compiled[group.inverse[composite]]
     psi = np.einsum("rij,rj->ri", recovery, psi)
 

@@ -128,6 +128,26 @@ def test_tuneup_runs_end_to_end(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:interleaved decay exceeds")
+def test_tuneup_seed_override_sets_both_stage_seeds(tmp_path, capsys):
+    def tuneup(config, out, *extra):
+        path = write_config(tmp_path, config, name=f"{out}.json")
+        assert main(["tuneup", "--config", str(path), "--out",
+                     str(tmp_path / out), *extra]) == 0
+        files = sorted((tmp_path / out).iterdir())
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in files}
+
+    both = _with(_with(TUNEUP_CONFIG, ["rough", "optimizer", "seed"], 7),
+                 ["fine", "optimizer", "seed"], 7)
+    overridden = tuneup(TUNEUP_CONFIG, "flag", "--seed", "7")
+    assert overridden == tuneup(both, "config")
+    for stage in ("rough", "fine"):
+        # one stage's seed alone does not reproduce the override
+        one = _with(TUNEUP_CONFIG, [stage, "optimizer", "seed"], 7)
+        assert tuneup(one, f"only-{stage}") != overridden
+    assert tuneup(TUNEUP_CONFIG, "default") != overridden
+
+
+@pytest.mark.filterwarnings("ignore:interleaved decay exceeds")
 def test_tuneup_name_names_the_artifacts(tmp_path):
     config = dict(TUNEUP_CONFIG, name="top")
     for stage in ("rough", "fine"):
@@ -349,10 +369,24 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
          "invalid schedules: zeta must be >= 0, got -1"),
         ("scan", _with(SCAN_CONFIG, ["objective", "dt_ns"], 3),
          "invalid objective: dt_ns = 3 does not evenly divide duration = 20.0"),
+        ("run", _with(RUN_CONFIG, ["objective"], []),
+         "config error: objective must be an object"),
+        ("run", _with(RUN_CONFIG, ["objective"], {"dimension": 2}),
+         "config error: objective section needs an 'objective' name"),
+        ("run", _with(RUN_CONFIG, ["initial_theta"], 1.0),
+         "config error: initial_theta must be a list or a {kind: ...} object"),
+        ("scan", {k: v for k, v in SCAN_CONFIG.items() if k != "objective"},
+         "config error: scan config needs 'objective' and 'scan' sections"),
+        ("scan", {k: v for k, v in SCAN_CONFIG.items() if k != "scan"},
+         "config error: scan config needs 'objective' and 'scan' sections"),
+        ("scan", _with(SCAN_CONFIG, ["objective"], {"objective": "sphere", "dimension": 2}),
+         "config error: scan objective must be a pulse loss"),
     ],
     ids=[
         "lambda", "seed", "negative-seed", "estimator", "duration_ns",
-        "negative-lambda", "negative-zeta", "dt_ns",
+        "negative-lambda", "negative-zeta", "dt_ns", "objective-not-object",
+        "objective-without-name", "scalar-initial-theta", "scan-without-objective",
+        "scan-without-scan", "scan-synthetic-objective",
     ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
@@ -405,6 +439,14 @@ def test_invalid_json_exits_1(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_config_holding_a_json_array_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, [RUN_CONFIG])
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:run 0 failed")

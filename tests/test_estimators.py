@@ -334,6 +334,16 @@ def test_raising_objective_becomes_objective_error_with_probe():
     with pytest.raises(ObjectiveError, match=re.escape("probe +c*e_0")):
         estimate_gradient(broken, np.zeros(2), EstimatorConfig("fdsa"), 0.1, None)
 
+    # an objective's own ObjectiveError passes through unwrapped
+    own = ObjectiveError("pulse refused by the instrument")
+
+    def refusing(theta):
+        raise own
+
+    with pytest.raises(ObjectiveError) as raised:
+        estimate_gradient(refusing, np.zeros(2), EstimatorConfig("fdsa"), 0.1, None)
+    assert raised.value is own and raised.value.__cause__ is None
+
 
 def test_non_finite_value_is_rejected():
     bad = lambda theta: float("nan")

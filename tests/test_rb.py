@@ -139,6 +139,15 @@ def test_build_is_deterministic():
     np.testing.assert_array_equal(a.multiplication, b.multiplication)
 
 
+def test_cached_group_is_read_only():
+    # clifford_group() is memoized: a write by one caller would reach run_rb
+    # for the rest of the process
+    g = clifford_group()
+    for array in (g.multiplication, g.inverse, *g.unitaries):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 # ----------------------------------------------------------------- sequences
 
 
@@ -194,20 +203,48 @@ def test_rb_survival_comes_back_in_ladder_order():
 @pytest.mark.parametrize(
     "lengths, n_sequences",
     [((1, 3, 7, 11), 3), ((0, 0), 2), ((9, 2, 9, 0, 5), 3),
-     ((1, 20, 60, 150, 300), 24)],
-    ids=["odd", "all-zero", "repeated-unsorted", "test-8"],
+     ((1, 20, 60, 150, 300), 24), (FinalRBConfig.lengths, 40)],
+    ids=["odd", "all-zero", "repeated-unsorted", "test-8", "final"],
 )
 def test_run_rb_draws_one_index_block_per_ladder_entry(
     lengths, n_sequences, interleaved
 ):
     # at shots 0 the Clifford indices are the whole stream: one block per
-    # ladder entry, in ladder order, whatever order the rows are stepped in
+    # ladder entry, in ladder order, whatever order the rows are stepped in.
+    # run_rb draws int32 blocks; the twin draws the default int64 ones
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
     run_rb(noisy_x90(3, 0.05, 1), lengths, n_sequences, seed=rng,
            interleaved=interleaved)
     for m in lengths:
         twin.integers(0, 24, size=(n_sequences, m))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_run_rb_reads_no_unwritten_pair_code(monkeypatch, n_levels, interleaved):
+    # run_rb allocates its code table uninitialized: a row is stepped only
+    # while it has pairs of its own.  Filled with a code that is no identity
+    # in either mode (Clifford 1, an X90 slot, then the identity), the table
+    # would change survival if any unwritten entry were read
+    gate = noisy_x90(n_levels, 0.1, seed=n_levels)
+    lengths = (0, 1, 2, 7, 7, 301)
+    seed = 10 * n_levels + interleaved
+    clean = run_rb(gate, lengths, 3, seed=seed, interleaved=interleaved)
+    empty = np.empty
+
+    def filled_empty(shape, dtype=float, **kwargs):
+        table = empty(shape, dtype=dtype, **kwargs)
+        if np.dtype(dtype) == np.uint16:
+            table.fill(601)
+        return table
+
+    monkeypatch.setattr(rb_module.np, "empty", filled_empty)
+    data = run_rb(gate, lengths, 3, seed=seed, interleaved=interleaved)
+    monkeypatch.undo()
+    assert data.survival.tobytes() == clean.survival.tobytes()
+    expected = loop_run_rb(gate, lengths, 3, seed=seed, interleaved=interleaved)
+    np.testing.assert_allclose(data.survival, expected, rtol=0.0, atol=1e-12)
 
 
 def test_three_level_ideal_gate_keeps_survival():

@@ -73,6 +73,8 @@ def test_momentum_truncation_zeroes_late_steps():
 def test_schedule_set_validation_errors():
     with pytest.raises(ValueError, match="a0 must be > 0"):
         ScheduleSet(a0=0.0)
+    with pytest.raises(ValueError, match="c0 must be > 0"):
+        ScheduleSet(c0=0)
     with pytest.raises(ValueError, match="beta0"):
         ScheduleSet(beta0=1.0)
     with pytest.raises(ValueError, match="gamma"):
@@ -134,6 +136,8 @@ def test_validator_passes_reference_exponents():
         "adaptive-divergence",
         "momentum-decay",
     }
+    with pytest.raises(KeyError, match="unknown"):
+        report["unknown"]
 
 
 def test_validator_flags_slow_momentum_decay():

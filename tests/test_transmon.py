@@ -59,6 +59,8 @@ def test_level_count_validation():
                 TransmonParams(**{name: bad})
     with pytest.raises(ValueError, match="anharmonicity"):
         TransmonParams.from_mhz(anharmonicity_mhz=float("nan"))
+    with pytest.raises(ValueError, match="n_levels must be >= 2"):
+        embed_qubit_gate(np.eye(2), 1)
 
 
 def test_lowering_operator_matrix():
@@ -116,6 +118,9 @@ def test_pulse_sequence_validation():
         PulseSequence(i_samples=[1.0, 2.0], q_samples=[1.0])
     with pytest.raises(ValueError, match="finite"):
         PulseSequence(i_samples=[np.inf], q_samples=[0.0])
+    for fir in ([np.nan], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="distortion must be a finite"):
+            PulseSequence(i_samples=[1.0], q_samples=[0.0], distortion=fir)
     for dt in (0.0, np.nan):
         with pytest.raises(ValueError, match="dt must be > 0"):
             PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
