@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import inspect
 import json
 import logging
 import math
@@ -404,14 +403,19 @@ def two_stage_tuneup(
 ) -> TuneupResult:
     """Rough stage, then a fine stage seeded at the best rough iterate.
 
-    The fine stage's best iterate is assessed with reference + interleaved
-    RB (fidelity from the decay ratio) next to the direct propagator
-    fidelity oracle.  Stage trajectories are persisted even on failure.
+    The stages must share ``n_basis`` and ``active_dims``.  The fine
+    stage's best iterate is assessed with reference + interleaved RB
+    (fidelity from the decay ratio) next to the direct propagator fidelity
+    oracle.  Stage trajectories are persisted even on failure.
     """
     if rough_cfg.objective not in PULSE_LOSSES:
         raise ConfigError("rough stage must use a pulse objective")
     if fine_cfg.objective != "l_rb" or fine_cfg.objective_config is None:
         raise ConfigError("fine stage must use the l_rb pulse objective")
+    # the fine stage starts at the rough stage's best coefficients
+    r_obj, f_obj = rough_cfg.objective_config, fine_cfg.objective_config
+    if (r_obj.n_basis, r_obj.active_dims) != (f_obj.n_basis, f_obj.active_dims):
+        raise ConfigError("rough and fine stages must share n_basis and active_dims")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rough = _run_stage(rough_cfg, 0, out / f"{rough_cfg.name}_rough_run0.csv")
@@ -483,8 +487,6 @@ _SCHEDULE_KEYS = {"lambda": "lam"}
 _ESTIMATOR_KEYS = {"estimator": "method"}
 _PULSE_KEYS = {"duration_ns": "duration", "dt_ns": "dt", "distortion_fir": "distortion"}
 _OPTIMIZER_KEYS = {"budget_evaluations": "budget", "seed": "base_seed"}
-# a pulse objective's device keys are the arguments of TransmonParams.from_mhz
-_DEVICE_KEYS = tuple(inspect.signature(TransmonParams.from_mhz).parameters)
 
 
 def _require_keys(section, allowed, where: str) -> None:
@@ -541,8 +543,9 @@ def _parse_objective(section) -> tuple[dict, int | None]:
             f"objective must be one of {CONFIG_OBJECTIVES}, got {name!r}"
         )
     if name in PULSE_LOSSES:
-        device = {key: rest.pop(key) for key in _DEVICE_KEYS if key in rest}
-        transmon = _build(TransmonParams.from_mhz, "objective", **device)
+        fields = dataclasses.fields(TransmonParams)
+        device = {f.name: rest.pop(f.name) for f in fields if f.name in rest}
+        transmon = _build(TransmonParams, "objective", **device)
         cfg = _from_section(
             ObjectiveConfig, rest, "objective", _PULSE_KEYS, transmon=transmon
         )

@@ -42,7 +42,8 @@ class ObjectiveConfig:
     optimization to a subset of the flat ``(A, B)`` vector; inactive
     coefficients are fixed at zero.  ``k_list`` must be strictly
     increasing positive repetition counts; the loss is normalized by its
-    length.  ``shots`` must be an integer >= 0.
+    length.  ``shots`` must be an integer >= 0, and a ``distortion`` FIR
+    kernel needs at least one tap.
     """
 
     transmon: TransmonParams = TransmonParams()
@@ -81,6 +82,8 @@ class ObjectiveConfig:
         check_rb_ladder(
             self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
         )
+        if self.distortion == ():
+            raise ValueError("distortion must have at least one tap")
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,8 @@
 """Few-level transmon pulse simulation in the rotating frame.
 
 Everything works in units of rad/ns on a truncated oscillator with a
-Kerr-type anharmonic shift.  The drive Hamiltonian (rotating-wave
+Kerr-type anharmonic shift; ``TransmonParams`` holds the device's
+frequencies in MHz and converts them.  The drive Hamiltonian (rotating-wave
 approximation, frame co-rotating with the qubit) is
 
     H(t) = -(anharmonicity/2) ad.ad.a.a
@@ -40,15 +41,17 @@ class UnitarityError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransmonParams:
-    """Device constants: level count, anharmonicity and drive scale (rad/ns).
+    """Device constants: level count, anharmonicity and drive scale in MHz.
 
-    ``drive_scale`` converts a dimensionless pulse amplitude of 1.0 into
-    the stated Rabi angular frequency.
+    The fields are a config file's device keys.  The ``anharmonicity`` and
+    ``drive_scale`` properties give rad/ns; ``drive_scale`` converts a
+    dimensionless pulse amplitude of 1.0 into the stated Rabi angular
+    frequency.
     """
 
     n_levels: int = 3
-    anharmonicity: float = TWO_PI * 0.320
-    drive_scale: float = TWO_PI * 0.025
+    anharmonicity_mhz: float = 320.0
+    drive_scale_mhz: float = 25.0
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -57,23 +60,20 @@ class TransmonParams:
                 f"n_levels must be one of {_ALLOWED_LEVELS}, got {self.n_levels!r}"
             )
         for name in ("anharmonicity", "drive_scale"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            # the rad/ns value, so an MHz value that overflows it is refused too
+            if not 0 < getattr(self, name) < math.inf:
+                value = getattr(self, f"{name}_mhz")
+                raise ValueError(f"{name}_mhz must be a finite number > 0, got {value!r}")
 
-    @classmethod
-    def from_mhz(
-        cls,
-        anharmonicity_mhz: float = 320.0,
-        drive_scale_mhz: float = 25.0,
-        n_levels: int = 3,
-    ) -> "TransmonParams":
-        """Build params from linear frequencies in MHz."""
-        return cls(
-            n_levels=n_levels,
-            anharmonicity=TWO_PI * anharmonicity_mhz / 1000.0,
-            drive_scale=TWO_PI * drive_scale_mhz / 1000.0,
-        )
+    @property
+    def anharmonicity(self) -> float:
+        """Anharmonicity in rad/ns."""
+        return TWO_PI * self.anharmonicity_mhz / 1000.0
+
+    @property
+    def drive_scale(self) -> float:
+        """Drive scale in rad/ns."""
+        return TWO_PI * self.drive_scale_mhz / 1000.0
 
 
 def lowering_operator(n_levels: int) -> np.ndarray:

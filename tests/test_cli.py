@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
+import typing
 
 import pytest
 
-from pertopt import __version__
+from pertopt import (
+    EstimatorConfig,
+    ExperimentConfig,
+    FinalRBConfig,
+    ObjectiveConfig,
+    ScanConfig,
+    ScheduleSet,
+    TransmonParams,
+    __version__,
+)
 from pertopt.cli import main
+from pertopt.experiments import (
+    _ESTIMATOR_KEYS,
+    _OPTIMIZER_KEYS,
+    _PULSE_KEYS,
+    _SCHEDULE_KEYS,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -40,6 +57,9 @@ SCAN_CONFIG = {
         "values_2": [0.0],
     },
 }
+
+# a run of the 2-dim lx loss, the scan's objective
+PULSE_RUN_CONFIG = dict(RUN_CONFIG, objective=SCAN_CONFIG["objective"])
 
 TUNEUP_CONFIG = {
     "rough": {
@@ -241,6 +261,12 @@ def _with(config, path, value):
 
 _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
 _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
+# a tune-up whose rough stage optimizes (A_1, B_1) alone
+_ROUGH_ON_TWO_DIMS = _with(
+    _with(TUNEUP_CONFIG, ["rough", "objective", "active_dims"], [0, 10]),
+    ["rough", "initial_theta"], [0.5, 0.0],
+)
+_DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
 
 
 @pytest.mark.parametrize(
@@ -318,6 +344,12 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         ("tuneup", _with(TUNEUP_CONFIG, ["name"], 5)),
         ("tuneup", _with(TUNEUP_CONFIG, ["name"], "other")),
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "objective"], "lx")),
+        # the stages must share the pulse basis: the fine stage starts at
+        # the rough stage's best coefficients
+        ("tuneup", _ROUGH_ON_TWO_DIMS),
+        ("tuneup", _with(_with(_ROUGH_ON_TWO_DIMS, ["fine", "objective", "active_dims"],
+                               [1, 11]), ["fine", "initial_theta"], [0.0, 0.0])),
+        ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], [])),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -340,6 +372,7 @@ _RANGE = {"start": 0.0, "stop": 1.0, "num": 3}
         "theta-key-typo", "zeros-with-values", "values-kind", "list-kind",
         "list-scan-name", "null-scan-name", "int-tuneup-name",
         "tuneup-name-not-stage-name", "fine-stage-not-l_rb",
+        "rough-active-dims-only", "stage-active-dims-differ", "empty-distortion",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
@@ -381,12 +414,31 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
          "config error: scan config needs 'objective' and 'scan' sections"),
         ("scan", _with(SCAN_CONFIG, ["objective"], {"objective": "sphere", "dimension": 2}),
          "config error: scan objective must be a pulse loss"),
+        ("run", _with(PULSE_RUN_CONFIG, ["objective", "anharmonicity_mhz"], -5),
+         "invalid objective: anharmonicity_mhz must be a finite number > 0, got -5"),
+        ("run", _with(PULSE_RUN_CONFIG, ["objective", "drive_scale_mhz"], True),
+         "invalid objective: drive_scale_mhz must be a finite number, got True"),
+        # both device keys used to be multiplied before they were checked
+        *(
+            ("run", _with(PULSE_RUN_CONFIG, ["objective", key], bad),
+             f"invalid objective: {key} must be a finite number, got {bad!r}")
+            for key in _DEVICE_KEYS
+            for bad in ("x", [1.5], {})
+        ),
+        ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], []),
+         "invalid objective: distortion_fir must have at least one tap"),
+        ("tuneup", _with(_with(TUNEUP_CONFIG, ["fine", "objective", "n_basis"], 5),
+                         ["fine", "initial_theta"], [0.0] * 10),
+         "config error: rough and fine stages must share n_basis and active_dims"),
     ],
     ids=[
         "lambda", "seed", "negative-seed", "estimator", "duration_ns",
         "negative-lambda", "negative-zeta", "dt_ns", "objective-not-object",
         "objective-without-name", "scalar-initial-theta", "scan-without-objective",
-        "scan-without-scan", "scan-synthetic-objective",
+        "scan-without-scan", "scan-synthetic-objective", "negative-anharmonicity",
+        "bool-drive-scale",
+        *(f"{kind}-{key}" for key in _DEVICE_KEYS for kind in ("string", "list", "object")),
+        "empty-distortion", "stage-n-basis-differ",
     ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
@@ -395,6 +447,89 @@ def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, m
     path = write_config(tmp_path, config)
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
+
+
+def _section_keys(cls, rename=None, elsewhere=()):
+    """``(key, annotation)`` of each field of ``cls`` a config section sets.
+
+    Keys are spelled as the parser's ``rename`` map spells them.  A field
+    holding a dataclass is built from other keys, and the ``elsewhere``
+    keys are set outside the section; both are left out.
+    """
+    spelling = {name: key for key, name in (rename or {}).items()}
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key, annotation = spelling.get(f.name, f.name), hints[f.name]
+        held = typing.get_args(annotation) or (annotation,)
+        if key not in elsewhere and not any(map(dataclasses.is_dataclass, held)):
+            yield key, annotation
+
+
+def _wrong_values(annotation):
+    """``true`` (a string for a bool field), and ``null`` unless admitted."""
+    held = typing.get_args(annotation) or (annotation,)
+    yield "x" if bool in held else True
+    if type(None) not in held:
+        yield None
+
+
+_OBJECTIVE_SECTION = [
+    *_section_keys(ObjectiveConfig, _PULSE_KEYS), *_section_keys(TransmonParams)
+]
+# a run config's sections; its optimizer sets the ExperimentConfig fields
+# that the config holds nowhere else
+_RUN_SECTIONS = {
+    "objective": _OBJECTIVE_SECTION,
+    "estimator": [*_section_keys(EstimatorConfig, _ESTIMATOR_KEYS)],
+    "optimizer": [*_section_keys(
+        ExperimentConfig, _OPTIMIZER_KEYS, {*RUN_CONFIG, *RUN_CONFIG["objective"]}
+    )],
+    "schedules": [*_section_keys(ScheduleSet, _SCHEDULE_KEYS)],
+}
+_SECTIONS = [
+    *(("run", PULSE_RUN_CONFIG, [s], keys) for s, keys in _RUN_SECTIONS.items()),
+    *(
+        ("tuneup", TUNEUP_CONFIG, [stage, s], keys)
+        for stage in ("rough", "fine")
+        for s, keys in _RUN_SECTIONS.items()
+    ),
+    ("tuneup", TUNEUP_CONFIG, ["final_rb"], [*_section_keys(FinalRBConfig)]),
+    ("scan", SCAN_CONFIG, ["objective"], _OBJECTIVE_SECTION),
+    ("scan", SCAN_CONFIG, ["scan"], [*_section_keys(ScanConfig, None, SCAN_CONFIG)]),
+]
+_KEY_CASES = [
+    pytest.param(
+        command, _with(config, [*path, key], bad), key,
+        id=f"{command}-{'.'.join(path)}.{key}={json.dumps(bad)}",
+    )
+    for command, config, path, keys in _SECTIONS
+    for key, annotation in keys
+    for bad in _wrong_values(annotation)
+]
+
+
+@pytest.mark.parametrize("command, config, key", _KEY_CASES)
+def test_every_section_key_refuses_a_wrong_kind_under_its_name(
+    tmp_path, capsys, command, config, key
+):
+    # keys come from the dataclass fields, so a new section or field that
+    # bypasses the field checks fails here
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f": {key} must be " in err
+    assert not out.exists()
+
+
+def test_section_keys_are_derived_from_the_fields():
+    keys = {(command, *path): {k for k, _ in ks} for command, _, path, ks in _SECTIONS}
+    assert keys["run", "objective"] >= {"n_levels", "anharmonicity_mhz", "dt_ns"}
+    assert keys["run", "optimizer"] == {
+        "update_rule", "budget_evaluations", "seed", "clip_box"
+    }
+    assert keys["scan", "scan"] == {"values_1", "values_2"}
+    assert len(_KEY_CASES) > 100
 
 
 def _unnamed_stages(config, name):

@@ -40,25 +40,28 @@ def ground(n_levels):
 
 def test_default_device_constants():
     p = TransmonParams()
-    assert p.n_levels == 3
+    assert (p.n_levels, p.anharmonicity_mhz, p.drive_scale_mhz) == (3, 320.0, 25.0)
     assert p.anharmonicity == pytest.approx(TWO_PI * 0.320, rel=1e-15)
     assert p.drive_scale == pytest.approx(TWO_PI * 0.025, rel=1e-15)
 
 
-def test_from_mhz_matches_defaults():
-    assert TransmonParams.from_mhz(320.0, 25.0) == TransmonParams()
+def test_mhz_fields_give_the_default_rad_per_ns_bits():
+    # the rad/ns values the defaults held before they were given in MHz
+    p = TransmonParams()
+    assert p.anharmonicity == TWO_PI * 0.320
+    assert p.drive_scale == TWO_PI * 0.025
+    assert TransmonParams(2, 200.0, 40.0).anharmonicity == TWO_PI * 200.0 / 1000.0
 
 
 def test_level_count_validation():
     for n_levels in (5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="n_levels"):
             TransmonParams(n_levels=n_levels)
-    for name in ("anharmonicity", "drive_scale"):
-        for bad in (0.0, -1.0, np.nan, np.inf, True):
-            with pytest.raises(ValueError, match=name):
+    for name in ("anharmonicity_mhz", "drive_scale_mhz"):
+        # 1e308 MHz is finite, but its rad/ns value overflows to inf
+        for bad in (np.nan, np.inf, 0.0, -1.0, True, 1e308):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
                 TransmonParams(**{name: bad})
-    with pytest.raises(ValueError, match="anharmonicity"):
-        TransmonParams.from_mhz(anharmonicity_mhz=float("nan"))
     with pytest.raises(ValueError, match="n_levels must be >= 2"):
         embed_qubit_gate(np.eye(2), 1)
 
