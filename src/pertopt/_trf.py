@@ -8,17 +8,23 @@ dense Jacobian under finite bounds with its defaults is kept: the exact
 (SVD) trust-region solver, linear loss, unit variable scale and
 ``ftol = xtol = gtol = 1e-8``.  Every floating-point operation happens in
 scipy's order on the same values, so the search visits the same points
-and stops at the same bits.  What is gone is the per-call machinery:
-``VectorFunction``'s caching and copies, and ``scipy.linalg.svd``'s
-wrapper.  The SVD is numpy's LAPACK ``dgesdd``, its factors in the
-Fortran order scipy returns, so the products with them run the same BLAS
-kernels; bit identity also needs numpy's and scipy's LAPACK builds to
-agree, which the tests check against scipy.
+and stops at the same bits.  Gone is the per-call machinery:
+``VectorFunction``, ``scipy.linalg.svd``'s wrapper and, on the common
+step, numpy calls on 3-element arrays where Python floats give the same
+IEEE values (elementwise arithmetic, comparisons, ``sqrt``, the clip).
+Dot products, matrix-vector products, sums and array powers stay numpy's
+(OpenBLAS fuses multiply-adds; numpy's ``power`` is not libm's).  The SVD
+is numpy's LAPACK ``dgesdd``, its factors in the Fortran order scipy
+returns, so the products with them run the same BLAS kernels; bit
+identity also needs numpy's and scipy's LAPACK builds to agree, which
+the tests check against scipy.
 """
 
 from __future__ import annotations
 
+import math
 from math import copysign
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +35,7 @@ _EPS = np.finfo(float).eps
 
 def _norm(x):
     """``numpy.linalg.norm`` of a 1-D float64 array, by its own formula."""
-    return np.sqrt(x.dot(x))
+    return math.sqrt(x.dot(x))
 
 
 class TRFResult(NamedTuple):
@@ -46,56 +52,55 @@ class TRFResult(NamedTuple):
     status: int
 
 
-def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
-    """Minimize ``0.5 * |fun(x)|^2`` over ``lb <= x <= ub`` from ``x0``.
+def trf_bounds(evaluate, x0, lb, ub, max_nfev) -> TRFResult:
+    """Minimize ``0.5 * |f(x)|^2`` over ``lb <= x <= ub`` from ``x0``.
 
     ``x0`` must lie strictly inside the finite bounds (``least_squares``
     nudges it inward first; a strictly interior start is left alone).
-    ``jac(x)`` returns the dense ``(m, n)`` Jacobian of ``fun`` at ``x``.
+    ``evaluate(x)``, for ``x`` a list of floats, returns ``f(x)`` and the
+    dense ``(m, n)`` Jacobian, which is read only at an accepted point.
     """
     x = x0.copy()
-    f = fun(x)
+    x_list = x0.tolist()
+    f, J = evaluate(x_list)
     if not np.isfinite(f).all():
         raise ValueError("Residuals are not finite in the initial point.")
-    f_true = f.copy()
     nfev = 1
-    J = jac(x)
     m, n = J.shape
-    cost = 0.5 * np.dot(f, f)
+    cost = 0.5 * float(f.dot(f))
     g = J.T.dot(f)
+    x_norm = _norm(x)
+    lb_list, ub_list = lb.tolist(), ub.tolist()
     # make_strictly_feasible(..., rstep=0): a point on or past a bound
     # moves to the nearest float inside it; every other point stays
-    inner_lb = np.nextafter(lb, ub)
-    inner_ub = np.nextafter(ub, lb)
+    inner = list(zip(np.nextafter(lb, ub).tolist(), np.nextafter(ub, lb).tolist()))
 
-    bounds = list(zip(lb.tolist(), ub.tolist()))
-    v = _scaling_vector(x, g, bounds)[0]
-    Delta = _norm(x0 / v**0.5)
-    if Delta == 0:
-        Delta = 1.0
+    v = _scaling_vector(x_list, g.tolist(), lb_list, ub_list)[0]
+    Delta = _norm(x0 / np.sqrt(v)) or 1.0
 
     f_augmented = np.zeros(m + n)
     J_augmented = np.zeros((m + n, n))
+    J_h = J_augmented[:m]  # a view
     # the lower block is diagonal; only its diagonal is ever written
     diag_augmented = J_augmented[m:].reshape(-1)[:: n + 1]
     alpha = 0.0  # Levenberg-Marquardt parameter
     termination_status = None
     while True:
-        v, dv, g_norm = _scaling_vector(x, g, bounds)
+        g_list = g.tolist()
+        v, dv, g_norm = _scaling_vector(x_list, g_list, lb_list, ub_list)
         if g_norm < _TOL:
             termination_status = 1
         if termination_status is not None or nfev == max_nfev:
             break
 
         # "hat" space: x = d * x_h, with the Coleman-Li diagonal term
-        d = v**0.5
-        diag_h = g * dv
+        d = np.sqrt(v)
+        diag_h = np.array([gi * dvi for gi, dvi in zip(g_list, dv)])
         g_h = d * g
 
         f_augmented[:m] = f
-        J_augmented[:m] = J * d
-        J_h = J_augmented[:m]  # a view
-        diag_augmented[:] = diag_h**0.5
+        np.multiply(J, d, out=J_h)
+        np.sqrt(diag_h, out=diag_augmented)
         U, s, V = _svd(J_augmented)
         V = V.T
         uf = U.T.dot(f_augmented)
@@ -105,46 +110,60 @@ def trf_bounds(fun, jac, x0, lb, ub, max_nfev) -> TRFResult:
 
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
-            p = d * p_h
-            step, step_h, predicted_reduction = _select_step(
-                x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta
+            p_h, alpha, step_h_norm = _solve_lsq_trust_region(
+                n, m, uf, s, V, Delta, alpha
             )
-            x_new = np.minimum(np.maximum(x + step, inner_lb), inner_ub)
-            f_new = fun(x_new)
+            step = d * p_h
+            trial = [xi + si for xi, si in zip(x_list, step.tolist())]
+            if all(map(le, lb_list, trial)) and all(map(le, trial, ub_list)):
+                predicted_reduction = -_evaluate_quadratic(J_h, g_h, p_h, diag_h)
+            else:
+                step, step_h, predicted_reduction = _select_step(
+                    x_list, J_h, diag_h, g_h, step, p_h, d, Delta, lb_list, ub_list, theta
+                )
+                step_h_norm = _norm(step_h)
+                trial = [xi + si for xi, si in zip(x_list, step.tolist())]
+            x_new = [lo if t < lo else hi if t > hi else t
+                     for t, (lo, hi) in zip(trial, inner)]
+            f_new, J_new = evaluate(x_new)
             nfev += 1
 
-            step_h_norm = _norm(step_h)
-            if not np.isfinite(f_new).all():
+            # a finite sum of squares has finite terms
+            ff = float(f_new.dot(f_new))
+            if not (math.isfinite(ff) or np.isfinite(f_new).all()):
                 Delta = 0.25 * step_h_norm
                 continue
 
-            cost_new = 0.5 * np.dot(f_new, f_new)
+            cost_new = 0.5 * ff
             actual_reduction = cost - cost_new
-            Delta_new, ratio = _update_tr_radius(
-                Delta, actual_reduction, predicted_reduction,
-                step_h_norm, step_h_norm > 0.95 * Delta,
-            )
-            termination_status = _check_termination(
-                actual_reduction, cost, _norm(step), _norm(x), ratio
-            )
-            if termination_status is not None:
+            # the radius follows the actual / predicted reduction ratio
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            else:
+                ratio = 1 if predicted_reduction == actual_reduction == 0 else 0
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
+                Delta_new = 2.0 * Delta
+            else:
+                Delta_new = Delta
+            # scipy's status: ftol (2), xtol (3) or both (4)
+            ftol = actual_reduction < _TOL * cost and ratio > 0.25
+            xtol = _norm(step) < _TOL * (_TOL + x_norm)
+            if ftol or xtol:
+                termination_status = 4 if ftol and xtol else 2 if ftol else 3
                 break
 
             alpha *= Delta / Delta_new
             Delta = Delta_new
 
         if actual_reduction > 0:
-            x = x_new
-            f = f_new
-            f_true = f.copy()
-            cost = cost_new
-            J = jac(x)
+            x_list, f, J, cost = x_new, f_new, J_new, cost_new
+            x = np.array(x_list)
+            x_norm = _norm(x)
             g = J.T.dot(f)
 
-    if termination_status is None:
-        termination_status = 0
-    return TRFResult(x=x, cost=cost, fun=f_true, jac=J, status=termination_status)
+    return TRFResult(x=x, cost=cost, fun=f, jac=J, status=termination_status or 0)
 
 
 def _svd(a: np.ndarray):
@@ -158,57 +177,48 @@ def _svd(a: np.ndarray):
     return np.asfortranarray(u), s, np.asfortranarray(vt)
 
 
-def _scaling_vector(x, g, bounds):
+def _scaling_vector(x, g, lb, ub):
     """Coleman-Li scaling vector ``v``, its derivative ``dv`` and ``max |g v|``.
 
-    ``v`` is the distance to the ``(lower, upper)`` bound in ``bounds``
-    the anti-gradient points at, 1 where the gradient is zero.  Python
-    floats give numpy's values exactly (comparisons, subtractions,
-    products and max only); a NaN product makes the norm NaN, as numpy's.
+    ``v`` is the distance to the bound the anti-gradient points at, 1
+    where the gradient is zero.  Lists of floats; a NaN product makes the
+    norm NaN, as numpy's.
     """
     v, dv = [], []
     g_norm = 0.0
-    for xi, gi, (lo, hi) in zip(x.tolist(), g.tolist(), bounds):
-        if gi > 0:  # the anti-gradient points at the lower bound
-            vi, dvi = xi - lo, 1.0
-        elif gi < 0:
-            vi, dvi = hi - xi, -1.0
-        else:
-            vi, dvi = 1.0, 0.0
+    for xi, gi, lo, hi in zip(x, g, lb, ub):
+        # gi > 0: the anti-gradient points at the lower bound
+        vi, dvi = (xi - lo, 1.0) if gi > 0 else (hi - xi, -1.0) if gi < 0 else (1.0, 0.0)
         v.append(vi)
         dv.append(dvi)
         gv = abs(gi * vi)
         if gv > g_norm or gv != gv:
             g_norm = gv
-    return np.array(v), np.array(dv), g_norm
+    return v, dv, g_norm
 
 
 def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
     """More's trust-region solution from one SVD of the Jacobian.
 
-    Returns the step and the Levenberg-Marquardt parameter ``alpha``
-    with ``(J^T J + alpha I) p = -J^T f``; ``rtol = 0.01`` and at most 10
-    root-finding iterations, as scipy.
+    Returns the step, the Levenberg-Marquardt parameter ``alpha`` with
+    ``(J^T J + alpha I) p = -J^T f`` and the step's norm; ``rtol = 0.01``
+    and at most 10 root-finding iterations, as scipy.
     """
-
-    def phi_and_derivative(alpha):
-        denom = s**2 + alpha
-        p_norm = _norm(suf / denom)
-        phi = p_norm - Delta
-        phi_prime = -(suf**2 / denom**3).sum() / p_norm
-        return phi, phi_prime
-
-    suf = s * uf
-    if m >= n:
-        threshold = _EPS * m * s[0]
-        full_rank = s[-1] > threshold
-    else:
-        full_rank = False
-
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if _norm(p) <= Delta:
-            return p, 0.0
+        p_norm = _norm(p)
+        if p_norm <= Delta:
+            return p, 0.0, p_norm
+
+    suf = s * uf
+    # numpy's ``x**2`` is ``x * x``; the cubes and sums stay numpy's
+    s2, suf2 = s * s, suf * suf
+
+    def phi_and_derivative(alpha):
+        denom = s2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.add.reduce(suf2 / denom**3) / p_norm
 
     alpha_upper = _norm(suf) / Delta
     if full_rank:
@@ -231,40 +241,37 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha):
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < 0.01 * Delta:
+        if abs(phi) < 0.01 * Delta:
             break
 
-    p = -V.dot(suf / (s**2 + alpha))
+    p = -V.dot(suf / (s2 + alpha))
     # rescale onto the trust-region boundary, so p cannot lie outside it
     p *= Delta / _norm(p)
-    return p, alpha
+    return p, alpha, _norm(p)
 
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
-    """Best of the trust-region, reflected and Cauchy steps.
+    """Best of the bounded trust-region, reflected and Cauchy steps.
 
-    Returns the step in the original and the hat space and the predicted
-    cost reduction.
+    For a trust-region step ``p`` that leaves the bounds (the caller takes
+    one inside them as it is); ``x``, ``lb`` and ``ub`` are lists.  Returns
+    the step in the original and the hat space and the predicted cost
+    reduction.
     """
-    if ((x + p >= lb) & (x + p <= ub)).all():
-        p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
-        return p, p_h, -p_value
-
-    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
+    p_stride, hits = _step_size_to_bound(x, p.tolist(), lb, ub)
 
     # reflected direction
-    r_h = np.copy(p_h)
-    r_h[hits.astype(bool)] *= -1
+    r_h = p_h * [-1.0 if hit else 1.0 for hit in hits]
     r = d * r_h
 
     # restrict the trust-region step so that it hits the bound
     p *= p_stride
     p_h *= p_stride
-    x_on_bound = x + p
+    x_on_bound = [xi + pi for xi, pi in zip(x, p.tolist())]
 
     # the reflected direction leaves first the box or the trust region
     _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
-    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
+    to_bound, _ = _step_size_to_bound(x_on_bound, r.tolist(), lb, ub)
 
     # step-size range along the reflected direction, keeping strict
     # feasibility
@@ -296,7 +303,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     ag_h = -g_h
     ag = d * ag_h
     to_tr = Delta / _norm(ag_h)
-    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    to_bound, _ = _step_size_to_bound(x, ag.tolist(), lb, ub)
     if to_bound < to_tr:
         ag_stride = theta * to_bound
     else:
@@ -318,18 +325,18 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
 def _step_size_to_bound(x, s, lb, ub):
     """Smallest ``t >= 0`` putting ``x + s t`` on a bound, and which hit.
 
+    Lists of floats, with numpy's ``maximum`` and ``min`` (a NaN wins).
     ``hits`` is -1 / 1 where the lower / upper bound is reached, else 0.
     """
-    non_zero = np.nonzero(s)
-    s_non_zero = s[non_zero]
-    steps = np.empty_like(x)
-    steps.fill(np.inf)
-    with np.errstate(over="ignore"):
-        steps[non_zero] = np.maximum(
-            (lb - x)[non_zero] / s_non_zero, (ub - x)[non_zero] / s_non_zero
-        )
-    min_step = np.min(steps)
-    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+    steps = []
+    for xi, si, lo, hi in zip(x, s, lb, ub):
+        to_lo, to_hi = ((lo - xi) / si, (hi - xi) / si) if si else (math.inf, math.inf)
+        steps.append(to_lo if to_lo >= to_hi or to_lo != to_lo else to_hi)
+    min_step = steps[0]
+    for t in steps[1:]:
+        if not (min_step <= t or min_step != min_step):
+            min_step = t
+    return min_step, [(t == min_step) * ((si > 0) - (si < 0)) for t, si in zip(steps, s)]
 
 
 def _intersect_trust_region(x, s, Delta):
@@ -380,10 +387,11 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
         extremum = -0.5 * b / a
         if lb < extremum < ub:
             t.append(extremum)
-    t = np.asarray(t)
-    y = t * (a * t + b) + c
-    min_index = np.argmin(y)
-    return t[min_index], y[min_index]
+    y = [ti * (a * ti + b) + c for ti in t]
+    # numpy's argmin: the first NaN, else the first minimum
+    i = next((k for k, yk in enumerate(y) if yk != yk), None)
+    i = y.index(min(y)) if i is None else i
+    return t[i], y[i]
 
 
 def _evaluate_quadratic(J, g, s, diag):
@@ -392,32 +400,3 @@ def _evaluate_quadratic(J, g, s, diag):
     q = np.dot(Js, Js)
     q += np.dot(s * diag, s)
     return 0.5 * q + np.dot(s, g)
-
-
-def _update_tr_radius(Delta, actual_reduction, predicted_reduction,
-                      step_norm, bound_hit):
-    """New trust-region radius and the actual/predicted reduction ratio."""
-    if predicted_reduction > 0:
-        ratio = actual_reduction / predicted_reduction
-    elif predicted_reduction == actual_reduction == 0:
-        ratio = 1
-    else:
-        ratio = 0
-    if ratio < 0.25:
-        Delta = 0.25 * step_norm
-    elif ratio > 0.75 and bound_hit:
-        Delta *= 2.0
-    return Delta, ratio
-
-
-def _check_termination(dF, F, dx_norm, x_norm, ratio):
-    """scipy's ftol / xtol status, or None to go on."""
-    ftol_satisfied = dF < _TOL * F and ratio > 0.25
-    xtol_satisfied = dx_norm < _TOL * (_TOL + x_norm)
-    if ftol_satisfied and xtol_satisfied:
-        return 4
-    elif ftol_satisfied:
-        return 2
-    elif xtol_satisfied:
-        return 3
-    return None

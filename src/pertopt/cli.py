@@ -78,7 +78,12 @@ def _cmd_tuneup(args: argparse.Namespace) -> int:
     for stage, trajectory in (("rough", result.rough), ("fine", result.fine)):
         iteration, loss, _ = trajectory.best()
         print(f"best {stage} loss: {loss!r} at iteration {iteration}")
-    print(f"interleaved fidelity: {result.interleaved_fidelity!r}")
+    ref, inter = result.reference_fit, result.interleaved_fit
+    # the decay ratio means nothing above 1 or from a fit without errors
+    unreliable = inter.decay_rate > ref.decay_rate or ref.degenerate or inter.degenerate
+    mark = " (unreliable: interleaved decay exceeds reference or a fit is degenerate)"
+    fidelity = f"interleaved fidelity: {result.interleaved_fidelity!r}"
+    print(fidelity + mark if unreliable else fidelity)
     print(f"direct fidelity: {result.direct_fidelity!r}")
     return 0
 

@@ -18,6 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -403,19 +404,21 @@ def two_stage_tuneup(
 ) -> TuneupResult:
     """Rough stage, then a fine stage seeded at the best rough iterate.
 
-    The stages must share ``n_basis`` and ``active_dims``.  The fine
-    stage's best iterate is assessed with reference + interleaved RB
-    (fidelity from the decay ratio) next to the direct propagator fidelity
-    oracle.  Stage trajectories are persisted even on failure.
+    The stages must share the pulse basis and timing.  The fine stage's
+    best iterate is assessed with reference + interleaved RB (fidelity
+    from the decay ratio) next to the direct propagator fidelity oracle.
+    Stage trajectories are persisted even on failure.
     """
     if rough_cfg.objective not in PULSE_LOSSES:
         raise ConfigError("rough stage must use a pulse objective")
     if fine_cfg.objective != "l_rb" or fine_cfg.objective_config is None:
         raise ConfigError("fine stage must use the l_rb pulse objective")
-    # the fine stage starts at the rough stage's best coefficients
-    r_obj, f_obj = rough_cfg.objective_config, fine_cfg.objective_config
-    if (r_obj.n_basis, r_obj.active_dims) != (f_obj.n_basis, f_obj.active_dims):
-        raise ConfigError("rough and fine stages must share n_basis and active_dims")
+    # the fine stage starts at the rough stage's best coefficients, which
+    # are the same pulse only in the same basis and timing
+    pulse = attrgetter("n_basis", "active_dims", "duration", "dt", "distortion")
+    if pulse(rough_cfg.objective_config) != pulse(fine_cfg.objective_config):
+        raise ConfigError("rough and fine stages must share n_basis and active_dims, "
+                          "duration_ns, dt_ns and distortion_fir")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rough = _run_stage(rough_cfg, 0, out / f"{rough_cfg.name}_rough_run0.csv")

@@ -87,8 +87,10 @@ class CliffordGroup:
     them shortest first.  ``multiplication[i, j]`` is the element equal to
     applying ``i`` then ``j``; ``inverse[i]`` composes with ``i`` to the
     identity (element 0).  ``x90_element`` is the element equal to the
-    X90 generator.  All arrays are read-only; ``multiplication`` is
-    ``uint16``.
+    X90 generator.  The elements ``start:`` of ``positions[p] = (start,
+    codes)`` have a ``p``-th generator, ``codes``; ``pair_elements[i]`` is
+    ``run_rb``'s pair-code table, interleaved if ``i``.  All arrays are
+    read-only; ``multiplication`` and ``pair_elements`` are ``uint16``.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -96,6 +98,8 @@ class CliffordGroup:
     multiplication: np.ndarray
     inverse: np.ndarray
     x90_element: int
+    positions: tuple[tuple[int, np.ndarray], ...]
+    pair_elements: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.unitaries)
@@ -145,14 +149,29 @@ def clifford_group() -> CliffordGroup:
     rows, inverse = np.nonzero(multiplication == 0)
     if not np.array_equal(rows, np.arange(n)):
         raise RuntimeError("an element lacks a unique group inverse")
-    for array in (multiplication, inverse, *elements):
+    x90 = int(successor[0, X90_GENERATOR_INDEX])
+    # decompositions come shortest first: those reaching position p are a suffix
+    positions = []
+    for p in range(len(decomps[-1])):
+        codes = [d[p] for d in decomps if len(d) > p]
+        positions.append((n - len(codes), np.array(codes)))
+    # the element of each step (with the X90 folded in when interleaved),
+    # then the identity; pair code b * 25 + a applies step a then step b
+    pair_elements = tuple(
+        multiplication[np.ix_(ext, ext)].T.ravel()
+        for ext in (np.append(steps, 0) for steps in (np.arange(n), multiplication[:, x90]))
+    )
+    for array in (multiplication, inverse, *elements, *pair_elements,
+                  *(codes for _, codes in positions)):
         array.flags.writeable = False
     return CliffordGroup(
         unitaries=tuple(elements),
         decompositions=tuple(decomps),
         multiplication=multiplication,
         inverse=inverse,
-        x90_element=int(successor[0, X90_GENERATOR_INDEX]),
+        x90_element=x90,
+        positions=tuple(positions),
+        pair_elements=pair_elements,
     )
 
 
@@ -162,8 +181,7 @@ def compile_cliffords(group: CliffordGroup, gate_under_test: np.ndarray) -> np.n
     A ``(24, n, n)`` array.  The generators are embedded on ``n`` levels
     and every element's generators are multiplied onto the identity, left
     to right: one stacked product per decomposition position, over the
-    elements whose decomposition reaches it (a suffix, since the
-    decompositions come shortest first).
+    elements whose decomposition reaches it.
     """
     gate_under_test = np.asarray(gate_under_test, dtype=complex)
     eye = np.eye(gate_under_test.shape[0], dtype=complex)[None]
@@ -171,10 +189,7 @@ def compile_cliffords(group: CliffordGroup, gate_under_test: np.ndarray) -> np.n
     gens[:, :2, :2] = _GENERATORS
     gens[X90_GENERATOR_INDEX] = gate_under_test
     compiled = eye.repeat(len(group), axis=0)
-    decomps = group.decompositions
-    for p in range(len(decomps[-1])):
-        codes = [d[p] for d in decomps if len(d) > p]
-        start = len(decomps) - len(codes)
+    for start, codes in group.positions:
         compiled[start:] = gens.take(codes, axis=0) @ compiled[start:]
     return compiled
 
@@ -217,10 +232,9 @@ def run_rb(
     odd length's last pair ends with the identity.  Between two ladder
     lengths the running prefix is fixed: it is stepped as one compact
     state, each product a fresh array, and written back once.  Each row's
-    composite element comes from its codes through a 625-entry table of
-    pair elements (folding in the identity and any interleaved X90), then
-    by multiplying neighbours pairwise (the group product is associative,
-    so this is exact).
+    composite element comes from its codes through the group's table of
+    pair elements, then by multiplying neighbours pairwise (the group
+    product is associative, so this is exact).
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -236,14 +250,10 @@ def run_rb(
     check_shots(shots)
     rng = np.random.default_rng(seed)
     group = clifford_group()
-    # flat uint16 tables and takes keep a long ladder's blocks small
-    n_group, table = len(group), group.multiplication
+    n_group = len(group)
     compiled = compile_cliffords(group, gate)
-    step_matrices, step_elements = compiled, np.arange(n_group)
-    if interleaved:
-        # fold the gate under test (an X90 slot) into every step
-        step_matrices = gate @ compiled
-        step_elements = table[:, group.x90_element]
+    # fold the gate under test (an X90 slot) into every step when interleaved
+    step_matrices = gate @ compiled if interleaved else compiled
 
     # pairs[b * n_ext + a] applies ext[a] then ext[b]; ext ends with the
     # identity.  One 2-D product forms every block (ext[b] @ ext[a])[i, k]
@@ -256,11 +266,10 @@ def run_rb(
         .transpose(0, 2, 1, 3)
         .reshape(n_ext * n_ext, n_levels, n_levels)
     )
-    # the group element of each pair code, and products[a * 24 + b] of
-    # element a then b
-    ext_elements = np.append(step_elements, 0)
-    pair_elements = table[np.ix_(ext_elements, ext_elements)].T.ravel()
-    products = table.ravel()
+    # flat uint16 tables and takes keep a long ladder's blocks small;
+    # products[a * 24 + b] is element a then b
+    pair_elements = group.pair_elements[bool(interleaved)]
+    products = group.multiplication.ravel()
 
     # rows come in blocks of n_sequences per ladder entry, longest first
     # (stable, so equal lengths keep ladder order)
@@ -335,32 +344,36 @@ _FIT_START = np.array([0.5, 0.5, 0.99])
 # evaluation limit of the search, curve_fit's maxfev
 _FIT_MAX_NFEV = 20000
 # scipy's relative step for 2-point differences in float64
-_FD_STEP = np.finfo(np.float64).eps ** 0.5
+_FD_STEP = float(np.finfo(np.float64).eps) ** 0.5
 
 
 def _forward_difference_jacobian(lengths, survival):
-    """scipy's 2-point ``approx_derivative`` of the decay residuals.
+    """``evaluate(x)``: the decay residuals and scipy's 2-point Jacobian.
 
-    All three columns come from one broadcast evaluation of
-    ``_decay_model`` instead of one call per parameter, so every entry is
-    bit-identical to the Jacobian ``least_squares`` estimates by itself.
+    ``x`` is a list of three floats.  It and its three steps are one
+    broadcast evaluation of ``_decay_model``, bit-identical to what
+    ``least_squares`` and ``approx_derivative`` compute one by one.
     scipy's step is ``sqrt(eps) * max(1, |x|)`` with the sign of ``x``,
     which is + inside the box (its lower bounds are 0).  Where it would
     pass an upper bound scipy reverses it, because the reversed step fits:
     every side of the box is far longer than the step.
     """
-    upper = _FIT_BOUNDS[1]
-    # row 0 is x itself, row 1 + j steps parameter j
-    shift = np.vstack((np.zeros(3), np.eye(3)))
+    upper = _FIT_BOUNDS[1].tolist()
 
-    def jacobian(x):
-        h = _FD_STEP * np.maximum(1.0, x)
-        h[x + h > upper] *= -1.0
-        points = x + shift * h
-        f = _decay_model(lengths, *points.T[:, :, None]) - survival
-        return ((f[1:] - f[0]) / ((x + h) - x)[:, None]).T
+    def evaluate(x):
+        stepped = []
+        for xj, uj in zip(x, upper):
+            h = _FD_STEP * max(xj, 1.0)
+            stepped.append(xj - h if xj + h > uj else xj + h)
+        (a, o, c), (sa, so, sc) = x, stepped
+        # each parameter at x and at the three steps (only its own moves),
+        # then the steps, as columns
+        p = np.array([a, sa, a, a, o, o, so, o, c, c, c, sc,
+                      sa - a, so - o, sc - c])[:, None]
+        f = _decay_model(lengths, p[0:4], p[4:8], p[8:12]) - survival
+        return f[0], ((f[1:] - f[0]) / p[12:]).T
 
-    return jacobian
+    return evaluate
 
 
 def fit_rb_decay(lengths, survival) -> RBFitResult:
@@ -397,7 +410,6 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
             degenerate=True,
         )
     search = trf_bounds(
-        lambda params: _decay_model(lengths, *params) - survival,
         _forward_difference_jacobian(lengths, survival),
         _FIT_START,
         *_FIT_BOUNDS,

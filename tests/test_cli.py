@@ -15,10 +15,12 @@ from pertopt import (
     ExperimentConfig,
     FinalRBConfig,
     ObjectiveConfig,
+    RBFitResult,
     ScanConfig,
     ScheduleSet,
     TransmonParams,
     __version__,
+    experiments,
 )
 from pertopt.cli import main
 from pertopt.experiments import (
@@ -145,6 +147,29 @@ def test_tuneup_runs_end_to_end(tmp_path, capsys):
     assert (out / "cli-tune_rough_run0.csv").exists()
     assert (out / "cli-tune_fine_run0.csv").exists()
     assert (out / "cli-tune_tuneup.json").exists()
+
+
+@pytest.mark.parametrize("p_reference, p_interleaved, degenerate, unreliable", [
+    (0.99, 0.985, None, False),
+    (0.985, 0.99, None, True),
+    (0.99, 0.985, "reference", True),
+    (0.99, 0.985, "interleaved", True),
+])
+def test_tuneup_marks_an_unreliable_interleaved_fidelity(
+    tmp_path, capsys, monkeypatch, p_reference, p_interleaved, degenerate, unreliable
+):
+    def fit(arm, decay):
+        return RBFitResult(0.5, 0.5, decay, 0.01, 0.01, 1e-4, degenerate=arm == degenerate)
+
+    fidelity = 1.0 - (1.0 - p_interleaved / p_reference) / 2.0
+    monkeypatch.setattr(experiments, "assess_gate", lambda *args: (
+        fit("reference", p_reference), fit("interleaved", p_interleaved), fidelity, 0.999,
+    ))
+    config = write_config(tmp_path, TUNEUP_CONFIG)
+    assert main(["tuneup", "--config", str(config), "--out", str(tmp_path / "t")]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    mark = " (unreliable: interleaved decay exceeds reference or a fit is degenerate)"
+    assert line == f"interleaved fidelity: {fidelity!r}" + (mark if unreliable else "")
 
 
 @pytest.mark.filterwarnings("ignore:interleaved decay exceeds")
@@ -349,6 +374,10 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         ("tuneup", _ROUGH_ON_TWO_DIMS),
         ("tuneup", _with(_with(_ROUGH_ON_TWO_DIMS, ["fine", "objective", "active_dims"],
                                [1, 11]), ["fine", "initial_theta"], [0.0, 0.0])),
+        # and its timing: the same coefficients are another pulse
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "duration_ns"], 40.0)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "dt_ns"], 0.5)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "distortion_fir"], [0.9, 0.1])),
         ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], [])),
     ],
     ids=[
@@ -372,7 +401,8 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         "theta-key-typo", "zeros-with-values", "values-kind", "list-kind",
         "list-scan-name", "null-scan-name", "int-tuneup-name",
         "tuneup-name-not-stage-name", "fine-stage-not-l_rb",
-        "rough-active-dims-only", "stage-active-dims-differ", "empty-distortion",
+        "rough-active-dims-only", "stage-active-dims-differ", "stage-duration-differs",
+        "stage-dt-differs", "stage-distortion-differs", "empty-distortion",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
@@ -430,6 +460,9 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         ("tuneup", _with(_with(TUNEUP_CONFIG, ["fine", "objective", "n_basis"], 5),
                          ["fine", "initial_theta"], [0.0] * 10),
          "config error: rough and fine stages must share n_basis and active_dims"),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "duration_ns"], 40.0),
+         "config error: rough and fine stages must share n_basis and active_dims, "
+         "duration_ns, dt_ns and distortion_fir"),
     ],
     ids=[
         "lambda", "seed", "negative-seed", "estimator", "duration_ns",
@@ -438,7 +471,7 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         "scan-without-scan", "scan-synthetic-objective", "negative-anharmonicity",
         "bool-drive-scale",
         *(f"{kind}-{key}" for key in _DEVICE_KEYS for kind in ("string", "list", "object")),
-        "empty-distortion", "stage-n-basis-differ",
+        "empty-distortion", "stage-n-basis-differ", "stage-duration-differs",
     ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):

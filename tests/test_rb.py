@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import warnings
 
 import numpy as np
@@ -143,7 +144,8 @@ def test_cached_group_is_read_only():
     # clifford_group() is memoized: a write by one caller would reach run_rb
     # for the rest of the process
     g = clifford_group()
-    for array in (g.multiplication, g.inverse, *g.unitaries):
+    for array in (g.multiplication, g.inverse, *g.unitaries, *g.pair_elements,
+                  *(codes for _, codes in g.positions)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
@@ -568,11 +570,103 @@ def test_fit_matches_bounded_curve_fit():
     assert all(0.9 < f.decay_rate <= 1.01 for f in fits[len(cases):])
 
 
+def _near_perfect_rb(n_gates):
+    """RB data of near-perfect gates on the test-8 ladder (shots 0) and,
+    for a quarter as many gates, on the final ladder (1000 shots)."""
+    for seed in range(n_gates):
+        gate = noisy_x90(3, (0.0005, 0.001, 0.002, 0.004)[seed % 4], seed)
+        data = run_rb(gate, TEST8_LADDER, 24, seed=seed)
+        yield data.lengths, data.survival
+    for seed in range(n_gates // 4):
+        gate = noisy_x90(3, (0.0005, 0.003, 0.02)[seed % 3], seed)
+        for interleaved in (False, True):
+            data = run_rb(gate, FinalRBConfig.lengths, 40, shots=1000, seed=seed,
+                          interleaved=interleaved)
+            yield data.lengths, data.survival
+
+
+@pytest.mark.filterwarnings("error")
+def test_search_reaches_every_branch_and_matches_scipy(monkeypatch):
+    # the search keeps only its common step (Gauss-Newton, inside the
+    # bounds) off numpy's small-array calls; this corpus also reaches the
+    # regularized solve, each step _select_step chooses among and rejected
+    # trials, and every search still ends on scipy's bits, without a warning
+    seen = collections.Counter()
+    svd, solve, select = _trf._svd, _trf._solve_lsq_trust_region, _trf._select_step
+    trials = []  # per iteration, each trial after the first follows a rejection
+
+    def counted_svd(a):
+        trials.append(0)
+        return svd(a)
+
+    def counted_solve(*args):
+        step, alpha, step_norm = solve(*args)
+        seen["levenberg-marquardt" if alpha else "gauss-newton"] += 1
+        return step, alpha, step_norm
+
+    def counted_select(x, J_h, diag_h, g_h, p, p_h, *rest):
+        direction = p_h / np.linalg.norm(p_h)
+        step, step_h, predicted = select(x, J_h, diag_h, g_h, p, p_h, *rest)
+        unit = step_h / np.linalg.norm(step_h)
+        if np.allclose(unit, direction, rtol=0.0, atol=1e-12):
+            seen["bounded"] += 1
+        elif np.allclose(unit, -g_h / np.linalg.norm(g_h), rtol=0.0, atol=1e-12):
+            seen["anti-gradient"] += 1
+        else:
+            seen["reflected"] += 1
+        return step, step_h, predicted
+
+    def counted(evaluate):
+        def counted_evaluate(x):
+            if trials:
+                trials[-1] += 1
+            return evaluate(x)
+
+        return counted_evaluate
+
+    monkeypatch.setattr(_trf, "_svd", counted_svd)
+    monkeypatch.setattr(_trf, "_solve_lsq_trust_region", counted_solve)
+    monkeypatch.setattr(_trf, "_select_step", counted_select)
+    cases = (list(_near_perfect_rb(20)) + list(_random_decays(60, seed=7))
+             + list(_upper_bound_decays(40, seed=11)) + list(_rank_deficient_decays()))
+    for lengths, survival in cases:
+        search = _trf.trf_bounds(
+            counted(rb_module._forward_difference_jacobian(lengths, survival)),
+            rb_module._FIT_START, *rb_module._FIT_BOUNDS, max_nfev=rb_module._FIT_MAX_NFEV,
+        )
+        expected = _least_squares_reference(lengths, survival)
+        assert search.x.tobytes() == expected.x.tobytes()
+        assert search.cost == expected.cost
+        assert search.fun.tobytes() == expected.fun.tobytes()
+        np.testing.assert_array_equal(search.jac, expected.jac)
+        assert search.status == expected.status
+    assert set(seen) == {
+        "gauss-newton", "levenberg-marquardt", "bounded", "reflected", "anti-gradient",
+    }
+    assert sum(n - 1 for n in trials if n > 1) > 0  # rejected trials
+
+
+def test_fused_residuals_are_the_models():
+    # the trial point is evaluated with its three finite-difference steps in
+    # one (4, m) broadcast; its row must be the residual least_squares takes
+    # from the (m,) evaluation, although numpy may pick another power loop
+    rng = np.random.default_rng(23)
+    for lengths in (np.array(TEST8_LADDER, dtype=float),
+                    np.array(FinalRBConfig.lengths, dtype=float)):
+        survival = rng.uniform(0.5, 1.0, lengths.size)
+        evaluate = rb_module._forward_difference_jacobian(lengths, survival)
+        points = rng.uniform(0.0, [1.0, 1.0, 1.01], size=(5000, 3))
+        points[:, 2] = 1.01 - 10 ** rng.uniform(-9, 0, len(points))
+        for x in points:
+            residuals = rb_module._decay_model(lengths, *x) - survival
+            assert evaluate(x.tolist())[0].tobytes() == residuals.tobytes()
+
+
 def test_fit_jacobian_is_scipys_forward_difference():
     lengths = np.array([1.0, 20, 60, 150, 300])
     survival = np.array([0.99, 0.97, 0.93, 0.85, 0.78])
     fun = lambda q: q[0] * q[2] ** lengths + q[1] - survival  # noqa: E731
-    jacobian = rb_module._forward_difference_jacobian(lengths, survival)
+    evaluate = rb_module._forward_difference_jacobian(lengths, survival)
     points = np.random.default_rng(5).uniform(0.0, [1.0, 1.0, 1.01], size=(50, 3))
     # within one step of the upper bounds the step is taken backwards
     points[::3, 2] = 1.01 - 1e-9
@@ -581,7 +675,9 @@ def test_fit_jacobian_is_scipys_forward_difference():
         expected = approx_derivative(
             fun, x, method="2-point", f0=fun(x), bounds=rb_module._FIT_BOUNDS
         )
-        np.testing.assert_array_equal(jacobian(x), expected)
+        residuals, jacobian = evaluate(x.tolist())
+        np.testing.assert_array_equal(jacobian, expected)
+        np.testing.assert_array_equal(residuals, fun(x))
 
 
 @pytest.mark.parametrize("ratio", [0.8, 1.0, 1.25])
@@ -596,12 +692,13 @@ def test_trust_region_rank_threshold_matches_scipy(ratio):
     s = np.array([1.0, 0.5, ratio * threshold])
     uf = np.array([0.3, -0.2, 0.0])
     V = np.linalg.qr(np.random.default_rng(3).normal(size=(n, n)))[0]
-    step, alpha = _trf._solve_lsq_trust_region(n, m, uf, s, V, 10.0, 0.0)
+    step, alpha, step_norm = _trf._solve_lsq_trust_region(n, m, uf, s, V, 10.0, 0.0)
     expected_step, expected_alpha, _ = solve_lsq_trust_region(
         n, m, uf, s, V, 10.0, initial_alpha=0.0
     )
     np.testing.assert_array_equal(step, expected_step)
     assert alpha == expected_alpha
+    assert step_norm == np.linalg.norm(expected_step)
     assert (alpha == 0.0) == (ratio > 1.0)
 
 
