@@ -25,12 +25,12 @@ by :class:`EstimatorConfig.evals_per_update`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .transmon import check_fields
+from .checks import check_fields
 
 Objective = Callable[[np.ndarray], float]
 
@@ -53,12 +53,13 @@ class GradientEstimate:
 class EstimatorConfig:
     """Which estimator to run, how many samples to average, and billing.
 
-    ``count_baseline`` only affects RSGF budget accounting: by default the
-    shared baseline evaluation is free (an update costs ``n_samples``
-    billed evaluations); setting it bills the baseline too.
+    The fields are the config keys but ``method``, whose ``key`` metadata
+    names its key.  ``count_baseline`` only affects RSGF budget accounting:
+    by default the shared baseline evaluation is free (an update costs
+    ``n_samples`` billed evaluations); setting it bills the baseline too.
     """
 
-    method: str = "spsa"
+    method: str = field(default="spsa", metadata={"key": "estimator"})
     n_samples: int = 1
     count_baseline: bool = False
 

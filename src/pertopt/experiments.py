@@ -11,7 +11,6 @@ CSVs to the last digit (floats are serialized via ``repr``).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -24,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_fields, check_shots, config_keys, is_finite_real, is_integer
 from .estimators import EstimatorConfig
 from .objectives import (
     PULSE_LOSSES,
@@ -44,15 +44,7 @@ from .rb import (
     RBFitResult, check_rb_ladder, fit_rb_decay, interleaved_gate_fidelity, run_rb,
 )
 from .schedules import ScheduleSet
-from .transmon import (
-    TransmonParams,
-    average_gate_fidelity,
-    check_fields,
-    check_shots,
-    is_finite_real,
-    is_integer,
-    rotation_unitary,
-)
+from .transmon import TransmonParams, average_gate_fidelity, rotation_unitary
 
 # the objectives a config file may name; ly and shifted_quadratic are API-only
 CONFIG_OBJECTIVES = ("lx", "l_combined", "l_rb", "sphere", "cubic")
@@ -75,10 +67,10 @@ class ExperimentConfig:
     estimator: EstimatorConfig
     update_rule: str
     schedules: ScheduleSet
-    budget: int
+    budget: int = field(metadata={"key": "budget_evaluations"})
     initial_theta: np.ndarray
     repeats: int = 1
-    base_seed: int = 0
+    base_seed: int = field(default=0, metadata={"key": "seed"})
     objective_config: ObjectiveConfig | None = None
     noise_sigma: float = 0.0
     clip_box: tuple[float, float] | None = None
@@ -260,29 +252,26 @@ def read_trajectory_csv(path: str | Path) -> tuple[int, Trajectory]:
     """Run id and trajectory of a file written by ``write_trajectory_csv``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader)[:7] != _CSV_COLUMNS:
+        header = next(reader, [])  # none in a zero-byte file
+        if header[:7] != _CSV_COLUMNS:
             raise ValueError(f"unexpected trajectory header in {path}")
         rows = list(reader)
     if not rows:
         raise ValueError(f"trajectory file {path} has no data rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"trajectory file {path} has a row unlike its header")
     first, *updates = rows
-    traj = Trajectory(
-        initial_theta=np.array([float(v) for v in first[7:]]),
-        initial_loss=float(first[3]),
-    )
-    for row in updates:
-        traj.records.append(
-            TrajectoryRecord(
-                iteration=int(row[1]),
-                n_evals=int(row[2]),
-                loss=float(row[3]),
-                a_t=float(row[4]),
-                c_t=float(row[5]),
-                beta_t=float(row[6]),
-                theta=np.array([float(v) for v in row[7:]]),
-            )
+    try:
+        traj = Trajectory(np.array([float(v) for v in first[7:]]), float(first[3]))
+        # the columns after run_id are TrajectoryRecord's fields in order
+        traj.records.extend(
+            TrajectoryRecord(int(row[1]), int(row[2]), *map(float, row[3:7]),
+                             np.array([float(v) for v in row[7:]]))
+            for row in updates
         )
-    return int(first[0]), traj
+        return int(first[0]), traj
+    except ValueError as exc:  # a cell that is not a number
+        raise ValueError(f"trajectory file {path} has a malformed cell: {exc}") from exc
 
 
 def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRecord]:
@@ -315,7 +304,10 @@ def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> N
 
 def read_summary_jsonl(path: str | Path) -> list[SummaryRecord]:
     lines = Path(path).read_text().splitlines()
-    return [SummaryRecord(**json.loads(line)) for line in lines if line.strip()]
+    try:
+        return [SummaryRecord(**json.loads(line)) for line in lines if line.strip()]
+    except (TypeError, ValueError) as exc:  # a missing key, or not JSON
+        raise ValueError(f"malformed summary line in {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -415,10 +407,12 @@ def two_stage_tuneup(
         raise ConfigError("fine stage must use the l_rb pulse objective")
     # the fine stage starts at the rough stage's best coefficients, which
     # are the same pulse only in the same basis and timing
-    pulse = attrgetter("n_basis", "active_dims", "duration", "dt", "distortion")
+    shared = ("n_basis", "active_dims", "duration", "dt", "distortion")
+    pulse = attrgetter(*shared)
     if pulse(rough_cfg.objective_config) != pulse(fine_cfg.objective_config):
-        raise ConfigError("rough and fine stages must share n_basis and active_dims, "
-                          "duration_ns, dt_ns and distortion_fir")
+        keys = {name: key for key, name in config_keys(ObjectiveConfig).items()}
+        raise ConfigError("rough and fine stages must share {} and {}, {}, {} and {}"
+                          .format(*map(keys.get, shared)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rough = _run_stage(rough_cfg, 0, out / f"{rough_cfg.name}_rough_run0.csv")
@@ -482,14 +476,8 @@ def _write_tuneup_json(path: Path, result: TuneupResult) -> None:
 # ---------------------------------------------------------------------------
 # config-file parsing
 #
-# A section's keys are the fields of the dataclass it builds, spelled as in
-# the maps below where the two differ; a key left out takes the field's
-# default.
-
-_SCHEDULE_KEYS = {"lambda": "lam"}
-_ESTIMATOR_KEYS = {"estimator": "method"}
-_PULSE_KEYS = {"duration_ns": "duration", "dt_ns": "dt", "distortion_fir": "distortion"}
-_OPTIMIZER_KEYS = {"budget_evaluations": "budget", "seed": "base_seed"}
+# A section's keys are the ``config_keys`` of the dataclass it builds; a
+# key left out takes the field's default.
 
 
 def _require_keys(section, allowed, where: str) -> None:
@@ -500,37 +488,33 @@ def _require_keys(section, allowed, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _build(cls, where: str, rename=None, /, **kwargs):
-    """``cls(**kwargs)``, reporting a bad value as a ConfigError.
-
-    An error that begins with a field ``rename`` maps a config key to is
-    reported under that key, the name the config file uses.
-    """
+def _build(cls, where: str, /, **kwargs):
+    """``cls(**kwargs)``, a bad value raised as a ConfigError; an error that
+    begins with a field's name names the field's config key instead."""
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         name, space, rest = str(exc).partition(" ")
-        spelling = {field: key for key, field in (rename or {}).items()}
+        spelling = {field: key for key, field in config_keys(cls).items()}
         prefix = "" if isinstance(exc, ConfigError) else f"invalid {where}: "
         raise ConfigError(prefix + spelling.get(name, name) + space + rest) from exc
 
 
-def _from_section(cls, section, where: str, rename=None, **fixed):
-    """Build ``cls`` from a config section keyed by its field names.
+def _section_fields(cls, section, where: str, names) -> dict:
+    """The ``section`` setting the ``names`` fields of ``cls``, by field name."""
+    keys = {key: name for key, name in config_keys(cls).items() if name in names}
+    _require_keys(section, keys, where)
+    return {keys[key]: value for key, value in section.items()}
 
-    ``rename`` maps config spellings to field names; the ``fixed`` fields
-    come from the caller, not from the section.
-    """
-    rename = rename or {}
-    spelling = {name: key for key, name in rename.items()}
-    fields = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
-    _require_keys(section, [spelling.get(name, name) for name in fields], where)
-    kwargs = {rename.get(key, key): value for key, value in section.items()}
-    return _build(cls, where, rename, **kwargs, **fixed)
+
+def _from_section(cls, section, where: str, **fixed):
+    """``cls`` from a config section and the caller's ``fixed`` fields."""
+    names = set(config_keys(cls).values()) - set(fixed)
+    return _build(cls, where, **_section_fields(cls, section, where, names), **fixed)
 
 
 def parse_schedules(section: dict) -> ScheduleSet:
-    return _from_section(ScheduleSet, section, "schedules", _SCHEDULE_KEYS)
+    return _from_section(ScheduleSet, section, "schedules")
 
 
 def _parse_objective(section) -> tuple[dict, int | None]:
@@ -546,12 +530,10 @@ def _parse_objective(section) -> tuple[dict, int | None]:
             f"objective must be one of {CONFIG_OBJECTIVES}, got {name!r}"
         )
     if name in PULSE_LOSSES:
-        fields = dataclasses.fields(TransmonParams)
-        device = {f.name: rest.pop(f.name) for f in fields if f.name in rest}
+        keys = config_keys(TransmonParams)
+        device = {keys[key]: rest.pop(key) for key in keys if key in rest}
         transmon = _build(TransmonParams, "objective", **device)
-        cfg = _from_section(
-            ObjectiveConfig, rest, "objective", _PULSE_KEYS, transmon=transmon
-        )
+        cfg = _from_section(ObjectiveConfig, rest, "objective", transmon=transmon)
         return {"objective": name, "objective_config": cfg}, cfg.dim
     _require_keys(rest, ("noise_sigma", "dimension"), "objective")
     dim = rest.pop("dimension", None)
@@ -614,18 +596,16 @@ def experiment_config_from_dict(config: dict) -> ExperimentConfig:
         if required not in config:
             raise ConfigError(f"config is missing the {required!r} section")
     objective, dim = _parse_objective(config["objective"])
-    optimizer = config["optimizer"]
-    _require_keys(optimizer, ("update_rule", "clip_box", *_OPTIMIZER_KEYS), "optimizer")
     kwargs = {"name": "experiment", "update_rule": "adam", "budget": 0}
     kwargs.update((key, config[key]) for key in ("name", "repeats") if key in config)
-    kwargs.update((_OPTIMIZER_KEYS.get(key, key), v) for key, v in optimizer.items())
-    estimator = _from_section(
-        EstimatorConfig, config.get("estimator", {}), "estimator", _ESTIMATOR_KEYS
-    )
+    kwargs.update(_section_fields(
+        ExperimentConfig, config["optimizer"], "optimizer",
+        ("update_rule", "clip_box", "budget", "base_seed"),
+    ))
+    estimator = _from_section(EstimatorConfig, config.get("estimator", {}), "estimator")
     return _build(
         ExperimentConfig,
         "config",
-        _OPTIMIZER_KEYS,
         estimator=estimator,
         schedules=parse_schedules(config["schedules"]),
         initial_theta=_parse_initial_theta(config.get("initial_theta"), dim),

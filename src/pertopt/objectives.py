@@ -12,17 +12,16 @@ carry analytic gradients for estimator and optimizer tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
+from .checks import check_fields, check_shots
 from .rb import DEFAULT_RB_LENGTHS, check_rb_ladder, fit_rb_decay, run_rb
 from .transmon import (
     TransmonParams,
-    check_fields,
-    check_shots,
     embed_qubit_gate,
     evolve,
     excited_frequency,
@@ -43,17 +42,20 @@ class ObjectiveConfig:
     coefficients are fixed at zero.  ``k_list`` must be strictly
     increasing positive repetition counts; the loss is normalized by its
     length.  ``shots`` must be an integer >= 0, and a ``distortion`` FIR
-    kernel needs at least one tap.
+    kernel needs at least one tap.  A field spelled unlike its config key
+    names the key in its ``key`` metadata.
     """
 
     transmon: TransmonParams = TransmonParams()
-    duration: float = 20.0
-    dt: float = 1.0
+    duration: float = field(default=20.0, metadata={"key": "duration_ns"})
+    dt: float = field(default=1.0, metadata={"key": "dt_ns"})
     n_basis: int = 10
     k_list: tuple[int, ...] = (1, 2)
     shots: int = 1000
     active_dims: tuple[int, ...] | None = None
-    distortion: tuple[float, ...] | None = None
+    distortion: tuple[float, ...] | None = field(
+        default=None, metadata={"key": "distortion_fir"}
+    )
     rb_lengths: tuple[int, ...] = DEFAULT_RB_LENGTHS
     rb_sequences: int = 8
 

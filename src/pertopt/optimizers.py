@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import is_integer
 from .estimators import (
     EstimatorConfig,
     Objective,
@@ -23,7 +24,6 @@ from .estimators import (
     evaluate_objective,
 )
 from .schedules import ScheduleSet
-from .transmon import is_integer
 
 UPDATE_RULES = ("sgd", "momentum", "adam")
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._trf import trf_bounds
-from .transmon import check_shots, is_integer, measure_population, rotation_unitary
+from .checks import check_shots, is_integer
+from .transmon import measure_population, rotation_unitary
 
 X90_GENERATOR_INDEX = 1
 # the generators as a read-only (6, 2, 2) stack, identity first

@@ -11,9 +11,9 @@ never blocks a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .transmon import check_fields, is_integer
+from .checks import check_fields, is_integer
 
 
 def _power_law(coeff: float, exponent: float, t: int) -> float:
@@ -29,10 +29,10 @@ class ScheduleSet:
 
     Parameters mirror the config file keys: ``a0``/``alpha`` for the
     learning rate, ``c0``/``zeta`` for the perturbation size,
-    ``beta0``/``lam`` for momentum (``lam`` is spelled ``lambda`` in config
-    files), ``gamma`` for the constant second-moment coefficient, ``delta``
-    for the adaptive-update regularizer, and ``truncation_step`` to force
-    ``beta_t = 0`` for all ``t`` beyond it.
+    ``beta0``/``lam`` for momentum (``lam``'s ``key`` metadata names its
+    config key), ``gamma`` for the constant second-moment coefficient,
+    ``delta`` for the adaptive-update regularizer, and ``truncation_step``
+    to force ``beta_t = 0`` for all ``t`` beyond it.
     """
 
     a0: float = 0.032
@@ -40,7 +40,7 @@ class ScheduleSet:
     c0: float = 0.016
     zeta: float = 0.101
     beta0: float = 0.999
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     gamma: float = 0.999
     delta: float = 1e-8
     truncation_step: int | None = None

@@ -20,15 +20,14 @@ with the static diagonal.  So a segment's propagator is
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import numbers
-import typing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .checks import check_fields, check_shots
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,7 +154,7 @@ def hann_windows(n_basis: int, duration: float, dt: float) -> np.ndarray:
     ratio = duration / dt
     n_segments = int(round(ratio))
     if n_segments < 1 or abs(ratio - n_segments) > 1e-9:
-        raise ValueError(f"dt = {dt} does not evenly divide duration = {duration}")
+        raise ValueError(f"dt = {dt} does not evenly divide the {duration} ns pulse")
     t_mid = dt * (np.arange(n_segments) + 0.5)
     # rows: basis index i = 1..n_basis evaluated at every midpoint
     indices = np.arange(1, n_basis + 1)
@@ -244,105 +243,6 @@ class PopulationMeasurement(NamedTuple):
     ground: float
     excited: float
     leakage: float
-
-
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer, False for a bool or a float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_finite_real(value) -> bool:
-    """True for a finite int or float (numpy's too), False for a bool."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-# each annotation's kind as errors name it
-_KINDS = {
-    int: "an integer", float: "a finite number", bool: "true or false",
-    str: "a string", tuple[int, ...]: "a list of integers",
-    tuple[float, ...]: "a list of finite numbers",
-    tuple[float, float]: "a list of 2 finite numbers",
-    np.ndarray: "a non-empty 1-D list of finite numbers",
-}
-
-
-def _kind(annotation) -> str:
-    args = typing.get_args(annotation)
-    if type(None) in args:
-        return f"{_kind(args[0])} or null"
-    return _KINDS.get(annotation) or f"a {annotation.__name__}"
-
-
-def _conform(annotation, value):
-    """``value`` as its field stores it; ``TypeError`` if of another kind."""
-    args = typing.get_args(annotation)
-    if type(None) in args:
-        return None if value is None else _conform(args[0], value)
-    if annotation is np.ndarray:
-        array = np.array(_conform(tuple[float, ...], value))
-        if array.size < 1:
-            raise TypeError
-        return array
-    if typing.get_origin(annotation) is tuple:
-        # entry by entry: numpy would read "1" and True as numbers
-        if isinstance(value, str) or (args[-1] is not ... and len(value) != len(args)):
-            raise TypeError
-        return tuple(args[0](_conform(args[0], v)) for v in value)
-    accepts = {int: is_integer, float: is_finite_real}.get(annotation)
-    if not (accepts(value) if accepts else isinstance(value, annotation)):
-        raise TypeError
-    return value
-
-
-@lru_cache(maxsize=None)
-def _field_types(cls) -> tuple:
-    """``(name, annotation, kind)`` of each field, resolved once per class."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], _kind(hints[f.name])) for f in dataclasses.fields(cls)
-    )
-
-
-def check_fields(obj, error: type[Exception] = ValueError) -> None:
-    """Check each field of the dataclass ``obj`` against its annotation.
-
-    - ``int``: an integer (numpy's too), not a bool;
-    - ``float``: a finite int or float, not a bool;
-    - ``bool``: ``True`` or ``False``; ``str``: a string;
-    - ``tuple[T, ...]``, ``tuple[T, T]``: a list of ``T`` (``int`` or
-      ``float`` as above), stored as a tuple of ``T``;
-    - ``np.ndarray``: a non-empty 1-D list of finite numbers, no strings
-      or bools, stored as a new float array;
-    - ``X | None``: ``None`` or an ``X``; a dataclass: an instance of it.
-
-    The first field of another kind raises ``error("<field> must be
-    <kind>, got <value>")``.  Range and cross-field rules stay with each
-    class.
-    """
-    for name, annotation, kind in _field_types(type(obj)):
-        value = getattr(obj, name)
-        try:
-            stored = _conform(annotation, value)
-        except TypeError:
-            raise error(f"{name} must be {kind}, got {value!r}") from None
-        if stored is not value:
-            object.__setattr__(obj, name, stored)
-
-
-def check_shots(shots) -> None:
-    """Raise ``ValueError`` unless ``shots`` is an integer >= 0.
-
-    numpy's multinomial truncates a fractional count, while the frequencies
-    would be divided by the unrounded one.
-    """
-    if not is_integer(shots):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
 
 
 def _check_norm(drift) -> None:

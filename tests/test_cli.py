@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +24,8 @@ from pertopt import (
     __version__,
     experiments,
 )
+from pertopt.checks import config_keys
 from pertopt.cli import main
-from pertopt.experiments import (
-    _ESTIMATOR_KEYS,
-    _OPTIMIZER_KEYS,
-    _PULSE_KEYS,
-    _SCHEDULE_KEYS,
-)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -379,6 +376,10 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "dt_ns"], 0.5)),
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "distortion_fir"], [0.9, 0.1])),
         ("scan", _with(SCAN_CONFIG, ["objective", "distortion_fir"], [])),
+        # numpy's multinomial draws no count above int64: these used to fail
+        # mid-run (exit 2) after writing artifacts
+        ("run", _with(PULSE_RUN_CONFIG, ["objective", "shots"], 10**20)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "shots"], 10**20)),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -403,6 +404,7 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         "tuneup-name-not-stage-name", "fine-stage-not-l_rb",
         "rough-active-dims-only", "stage-active-dims-differ", "stage-duration-differs",
         "stage-dt-differs", "stage-distortion-differs", "empty-distortion",
+        "int64-overflowing-shots", "int64-overflowing-final-shots",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
@@ -431,7 +433,7 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         ("run", _with(RUN_CONFIG, ["schedules", "zeta"], -1),
          "invalid schedules: zeta must be >= 0, got -1"),
         ("scan", _with(SCAN_CONFIG, ["objective", "dt_ns"], 3),
-         "invalid objective: dt_ns = 3 does not evenly divide duration = 20.0"),
+         "invalid objective: dt_ns = 3 does not evenly divide the 20.0 ns pulse"),
         ("run", _with(RUN_CONFIG, ["objective"], []),
          "config error: objective must be an object"),
         ("run", _with(RUN_CONFIG, ["objective"], {"dimension": 2}),
@@ -463,6 +465,8 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         ("tuneup", _with(TUNEUP_CONFIG, ["fine", "objective", "duration_ns"], 40.0),
          "config error: rough and fine stages must share n_basis and active_dims, "
          "duration_ns, dt_ns and distortion_fir"),
+        ("run", _with(RUN_CONFIG, ["optimizer", "budget_evaluations"], -1),
+         "config error: budget_evaluations must be >= 0, got -1"),
     ],
     ids=[
         "lambda", "seed", "negative-seed", "estimator", "duration_ns",
@@ -472,6 +476,7 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         "bool-drive-scale",
         *(f"{kind}-{key}" for key in _DEVICE_KEYS for kind in ("string", "list", "object")),
         "empty-distortion", "stage-n-basis-differ", "stage-duration-differs",
+        "negative-budget",
     ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
@@ -482,17 +487,16 @@ def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, m
     assert message in capsys.readouterr().err
 
 
-def _section_keys(cls, rename=None, elsewhere=()):
+def _section_keys(cls, elsewhere=()):
     """``(key, annotation)`` of each field of ``cls`` a config section sets.
 
-    Keys are spelled as the parser's ``rename`` map spells them.  A field
-    holding a dataclass is built from other keys, and the ``elsewhere``
-    keys are set outside the section; both are left out.
+    Keys are spelled as ``config_keys`` spells them.  A field holding a
+    dataclass is built from other keys, and the ``elsewhere`` keys are set
+    outside the section; both are left out.
     """
-    spelling = {name: key for key, name in (rename or {}).items()}
     hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        key, annotation = spelling.get(f.name, f.name), hints[f.name]
+    for key, name in config_keys(cls).items():
+        annotation = hints[name]
         held = typing.get_args(annotation) or (annotation,)
         if key not in elsewhere and not any(map(dataclasses.is_dataclass, held)):
             yield key, annotation
@@ -507,17 +511,17 @@ def _wrong_values(annotation):
 
 
 _OBJECTIVE_SECTION = [
-    *_section_keys(ObjectiveConfig, _PULSE_KEYS), *_section_keys(TransmonParams)
+    *_section_keys(ObjectiveConfig), *_section_keys(TransmonParams)
 ]
 # a run config's sections; its optimizer sets the ExperimentConfig fields
 # that the config holds nowhere else
 _RUN_SECTIONS = {
     "objective": _OBJECTIVE_SECTION,
-    "estimator": [*_section_keys(EstimatorConfig, _ESTIMATOR_KEYS)],
-    "optimizer": [*_section_keys(
-        ExperimentConfig, _OPTIMIZER_KEYS, {*RUN_CONFIG, *RUN_CONFIG["objective"]}
-    )],
-    "schedules": [*_section_keys(ScheduleSet, _SCHEDULE_KEYS)],
+    "estimator": [*_section_keys(EstimatorConfig)],
+    "optimizer": [
+        *_section_keys(ExperimentConfig, {*RUN_CONFIG, *RUN_CONFIG["objective"]})
+    ],
+    "schedules": [*_section_keys(ScheduleSet)],
 }
 _SECTIONS = [
     *(("run", PULSE_RUN_CONFIG, [s], keys) for s, keys in _RUN_SECTIONS.items()),
@@ -528,7 +532,7 @@ _SECTIONS = [
     ),
     ("tuneup", TUNEUP_CONFIG, ["final_rb"], [*_section_keys(FinalRBConfig)]),
     ("scan", SCAN_CONFIG, ["objective"], _OBJECTIVE_SECTION),
-    ("scan", SCAN_CONFIG, ["scan"], [*_section_keys(ScanConfig, None, SCAN_CONFIG)]),
+    ("scan", SCAN_CONFIG, ["scan"], [*_section_keys(ScanConfig, SCAN_CONFIG)]),
 ]
 _KEY_CASES = [
     pytest.param(
@@ -545,14 +549,27 @@ _KEY_CASES = [
 def test_every_section_key_refuses_a_wrong_kind_under_its_name(
     tmp_path, capsys, command, config, key
 ):
-    # keys come from the dataclass fields, so a new section or field that
-    # bypasses the field checks fails here
+    # keys come from config_keys, so a new section or field that bypasses
+    # the field checks fails here
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f": {key} must be " in err
     assert not out.exists()
+
+
+# the class whose fields each run config section sets
+_SECTION_CLASSES = {
+    "objective": ObjectiveConfig, "estimator": EstimatorConfig,
+    "optimizer": ExperimentConfig, "schedules": ScheduleSet,
+}
+_FIELD_NAME_CASES = [
+    pytest.param(section, name, id=f"{section}.{name}")
+    for section, cls in _SECTION_CLASSES.items()
+    for key, name in config_keys(cls).items()
+    if key != name
+]
 
 
 def test_section_keys_are_derived_from_the_fields():
@@ -563,6 +580,42 @@ def test_section_keys_are_derived_from_the_fields():
     }
     assert keys["scan", "scan"] == {"values_1", "values_2"}
     assert len(_KEY_CASES) > 100
+    assert {case.values[1] for case in _FIELD_NAME_CASES} == {
+        "lam", "method", "duration", "dt", "distortion", "budget", "base_seed"
+    }
+
+
+@pytest.mark.parametrize("section, name", _FIELD_NAME_CASES)
+def test_a_field_name_is_no_second_spelling_of_its_key(tmp_path, capsys, section, name):
+    # a key spelled unlike its field is refused under the field's name, so
+    # each setting has one spelling in a config file
+    config = _with(PULSE_RUN_CONFIG, [section, name], 1)
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: unknown keys in {section}: [{name!r}]\n"
+    )
+    assert not out.exists()
+
+
+def test_readme_spelling_table_matches_config_keys():
+    # one row per key spelled unlike its field: `key` | `section` | `Class.field`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| Config key | Section | API field |\n|---|---|---|\n"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        key, section, field = re.findall(r"`([^`]+)`", line)
+        cls, name = field.split(".")
+        assert cls == _SECTION_CLASSES[section].__name__, line
+        rows[key] = section, name
+    assert rows == {
+        key: (section, name)
+        for section, cls in _SECTION_CLASSES.items()
+        for key, name in config_keys(cls).items()
+        if key != name
+    }
 
 
 def _unnamed_stages(config, name):

@@ -220,15 +220,41 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, writer):
     ]
 
 
+_CSV_HEADER = "run_id,iteration,n_evals,loss,a_t,c_t,beta_t,theta_0\n"
+
+
 def test_read_trajectory_csv_validation(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("foo,bar\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        read_trajectory_csv(bad)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("run_id,iteration,n_evals,loss,a_t,c_t,beta_t,theta_0\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_trajectory_csv(empty)
+    path = tmp_path / "bad.csv"
+    for text, match in [
+        ("foo,bar\n1,2\n", "header"),
+        (_CSV_HEADER, "no data rows"),
+        # a zero-byte file used to let StopIteration out
+        ("", "header"),
+        # a short row used to raise IndexError, a long one to read as theta
+        (_CSV_HEADER + "0,0,0,1.5,,,\n", "row unlike its header"),
+        (_CSV_HEADER + "0,0,0,1.5,,,,0.0,0.0\n", "row unlike its header"),
+        (_CSV_HEADER + "0,0,0,1.5,,,,0.0\n0,1,2,x,0.1,0.1,0.9,0.5\n", "malformed cell"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            read_trajectory_csv(path)
+        assert str(path) in str(info.value)
+
+
+def test_read_summary_jsonl_validation(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for text, match in [
+        # a line missing a key used to raise TypeError
+        ('{"n_evals": 0, "loss_mean": 1.0, "loss_std": 0.0}\n', "missing"),
+        ('{"n_evals": 0, "loss_mean": 1.0, "loss_std": 0.0, "n_runs": 1, "x": 1}\n',
+         "unexpected"),
+        ("[0, 1.0, 0.0, 1]\n", "mapping"),
+        ("{not json\n", "Expecting"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            read_summary_jsonl(path)
+        assert str(path) in str(info.value)
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -178,7 +178,8 @@ def test_rb_validation():
     for n_sequences in (0, 2.5, True):
         with pytest.raises(ValueError, match="n_sequences"):
             run_rb(X90, (0, 2), n_sequences)
-    for shots in (-1, 2.5, True):
+    # numpy's multinomial draws no count above int64
+    for shots in (-1, 2.5, True, 2**63):
         with pytest.raises(ValueError, match="shots"):
             run_rb(X90, (0, 2), 4, shots=shots)
     with pytest.raises(ValueError, match="square"):

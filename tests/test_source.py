@@ -92,6 +92,39 @@ def test_no_module_imports_another_modules_private_name():
     }
 
 
+def _package_imports(source: str) -> set[str]:
+    """The pertopt modules that ``source`` imports, by relative or full name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("pertopt" * bool(node.level), node.module)))
+            # ``from . import x`` and ``from pertopt import x`` import module x
+            dotted = [module] if module != "pertopt" else [
+                f"pertopt.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        found.update(d.split(".")[1] for d in dotted if d.startswith("pertopt."))
+    return found
+
+
+def test_the_optimizer_core_imports_no_physics():
+    # AdamSPSA and AdamRSGF need only loss values: the estimators, schedules
+    # and update rules load neither the pulse simulator nor RB, and the
+    # config checks they share live in a module that imports no other
+    imports = {p.stem: _package_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert imports["checks"] == set()
+    physics = {"transmon", "rb", "_trf", "objectives", "experiments"}
+    for core in ("estimators", "schedules", "optimizers"):
+        assert imports[core].isdisjoint(physics), (core, imports[core])
+    assert _package_imports(
+        "import pertopt.rb\nfrom pertopt import transmon\nfrom pertopt.objectives "
+        "import x\nfrom . import experiments\nfrom ._trf import y\nimport numpy\n"
+    ) == {"rb", "transmon", "objectives", "experiments", "_trf"}
+
+
 CONFIG_CLASSES = {
     "ExperimentConfig", "ScanConfig", "FinalRBConfig", "ObjectiveConfig",
     "TransmonParams", "EstimatorConfig", "ScheduleSet",
