@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import typing
 from functools import lru_cache
 
@@ -63,12 +64,21 @@ def _conform(annotation, value):
     return value
 
 
+# each bound a field's metadata may set, named as its ``operator`` test
+_BOUNDS = {"ge": ">=", "gt": ">", "lt": "<"}
+
+
 @lru_cache(maxsize=None)
 def _field_types(cls) -> tuple:
-    """``(name, annotation, kind)`` of each field, resolved once per class."""
+    """``(name, annotation, kind, bounds)`` of each field, resolved once per
+    class; ``bounds`` holds ``(symbol, test, bound)`` per bound it sets."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, hints[f.name], _kind(hints[f.name])) for f in dataclasses.fields(cls)
+        (f.name, hints[f.name], _kind(hints[f.name]), tuple(
+            (symbol, getattr(operator, op), f.metadata[op])
+            for op, symbol in _BOUNDS.items() if op in f.metadata
+        ))
+        for f in dataclasses.fields(cls)
     )
 
 
@@ -84,11 +94,14 @@ def check_fields(obj, error: type[Exception] = ValueError) -> None:
       or bools, stored as a new float array;
     - ``X | None``: ``None`` or an ``X``; a dataclass: an instance of it.
 
-    The first field of another kind raises ``error("<field> must be
-    <kind>, got <value>")``.  Range and cross-field rules stay with each
-    class.
+    A field of the right kind then meets each bound its metadata sets, for
+    example ``field(default=0.032, metadata={"gt": 0})``: ``ge`` (>=),
+    ``gt`` (>) and ``lt`` (<); ``None`` meets every bound.  The first field
+    of another kind raises ``error("<field> must be <kind>, got <value>")``
+    and the first outside a bound ``error("<field> must be <op> <bound>,
+    got <value>")``.  Cross-field and entry rules stay with each class.
     """
-    for name, annotation, kind in _field_types(type(obj)):
+    for name, annotation, kind, bounds in _field_types(type(obj)):
         value = getattr(obj, name)
         try:
             stored = _conform(annotation, value)
@@ -96,6 +109,9 @@ def check_fields(obj, error: type[Exception] = ValueError) -> None:
             raise error(f"{name} must be {kind}, got {value!r}") from None
         if stored is not value:
             object.__setattr__(obj, name, stored)
+        for symbol, test, bound in bounds:
+            if stored is not None and not test(stored, bound):
+                raise error(f"{name} must be {symbol} {bound}, got {value!r}")
 
 
 def check_shots(shots) -> None:

@@ -25,7 +25,8 @@ from .experiments import (
     two_stage_tuneup,
     write_scan_csv,
 )
-from .schedules import validate_schedules
+from .checks import config_keys
+from .schedules import ScheduleSet, validate_schedules
 
 
 def _load_config(path: str) -> dict:
@@ -90,7 +91,12 @@ def _cmd_tuneup(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    report = validate_schedules(parse_schedules(config.get("schedules", config)))
+    # a bare schedules object holds ScheduleSet keys alone
+    if not config.keys() <= config_keys(ScheduleSet).keys():
+        if "schedules" not in config:
+            raise ConfigError("config is missing the 'schedules' section")
+        config = config["schedules"]
+    report = validate_schedules(parse_schedules(config))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name}: {check.detail}")

@@ -60,7 +60,7 @@ class EstimatorConfig:
     """
 
     method: str = field(default="spsa", metadata={"key": "estimator"})
-    n_samples: int = 1
+    n_samples: int = field(default=1, metadata={"ge": 1})
     count_baseline: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +69,6 @@ class EstimatorConfig:
             raise ValueError(
                 f"unknown estimator {self.method!r}, expected one of {_METHODS}"
             )
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
 
     def evals_per_update(self, dim: int) -> int:
         """Billed objective evaluations for one averaged gradient estimate."""

@@ -67,12 +67,13 @@ class ExperimentConfig:
     estimator: EstimatorConfig
     update_rule: str
     schedules: ScheduleSet
-    budget: int = field(metadata={"key": "budget_evaluations"})
+    budget: int = field(metadata={"key": "budget_evaluations", "ge": 0})
     initial_theta: np.ndarray
-    repeats: int = 1
-    base_seed: int = field(default=0, metadata={"key": "seed"})
+    repeats: int = field(default=1, metadata={"ge": 1})
+    # np.random.SeedSequence refuses a negative seed, but only mid-run
+    base_seed: int = field(default=0, metadata={"key": "seed", "ge": 0})
     objective_config: ObjectiveConfig | None = None
-    noise_sigma: float = 0.0
+    noise_sigma: float = field(default=0.0, metadata={"ge": 0})
     clip_box: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -85,14 +86,6 @@ class ExperimentConfig:
                 f"unknown update rule {self.update_rule!r}, "
                 f"expected one of {UPDATE_RULES}"
             )
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats!r}")
-        if self.base_seed < 0:  # np.random.SeedSequence refuses it mid-run
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
-        if self.budget < 0:
-            raise ConfigError(f"budget must be >= 0, got {self.budget!r}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if self.clip_box is not None and not self.clip_box[0] < self.clip_box[1]:
             raise ConfigError("clip_box low must be < high")
         if self.objective in PULSE_LOSSES:
@@ -112,12 +105,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SummaryRecord:
-    """Cross-repeat loss statistics at one shared evaluation count."""
+    """Cross-repeat loss statistics at one shared evaluation count.
 
-    n_evals: int
+    Only ``read_summary_jsonl`` checks the fields, so that
+    ``summarize_trajectories`` builds its thousands of records unchecked.
+    """
+
+    n_evals: int = field(metadata={"ge": 0})
     loss_mean: float
-    loss_std: float
-    n_runs: int
+    loss_std: float = field(metadata={"ge": 0})
+    n_runs: int = field(metadata={"ge": 1})
 
 
 @dataclass
@@ -249,7 +246,8 @@ def write_trajectory_csv(path: str | Path, run_id: int, traj: Trajectory) -> Non
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[int, Trajectory]:
-    """Run id and trajectory of a file written by ``write_trajectory_csv``."""
+    """Run id and trajectory of a file written by ``write_trajectory_csv``:
+    every row carries one run id, and the iterations count 0, 1, 2, ..."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # none in a zero-byte file
@@ -269,9 +267,15 @@ def read_trajectory_csv(path: str | Path) -> tuple[int, Trajectory]:
                              np.array([float(v) for v in row[7:]]))
             for row in updates
         )
-        return int(first[0]), traj
+        run_ids = {int(row[0]) for row in rows}
+        iterations = [int(row[1]) for row in rows]
     except ValueError as exc:  # a cell that is not a number
         raise ValueError(f"trajectory file {path} has a malformed cell: {exc}") from exc
+    if len(run_ids) != 1:
+        raise ValueError(f"trajectory file {path} mixes run ids {sorted(run_ids)}")
+    if iterations != list(range(len(rows))):
+        raise ValueError(f"trajectory file {path} has iterations out of order")
+    return run_ids.pop(), traj
 
 
 def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRecord]:
@@ -303,11 +307,16 @@ def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> N
 
 
 def read_summary_jsonl(path: str | Path) -> list[SummaryRecord]:
+    """The records of a file written by ``write_summary_jsonl``, each
+    checked by ``check_fields`` against its field kinds and bounds."""
     lines = Path(path).read_text().splitlines()
     try:
-        return [SummaryRecord(**json.loads(line)) for line in lines if line.strip()]
-    except (TypeError, ValueError) as exc:  # a missing key, or not JSON
+        records = [SummaryRecord(**json.loads(line)) for line in lines if line.strip()]
+        for record in records:
+            check_fields(record)
+    except (TypeError, ValueError) as exc:  # a missing key, not JSON, a bad value
         raise ValueError(f"malformed summary line in {path}: {exc}") from exc
+    return records
 
 
 @dataclass(frozen=True)
@@ -366,16 +375,14 @@ class FinalRBConfig:
     """Settings for the tuneup's final fidelity assessment."""
 
     lengths: tuple[int, ...] = (0, 30, 80, 150, 250, 400, 600, 900, 1300, 1800)
-    n_sequences: int = 40
+    n_sequences: int = field(default=40, metadata={"ge": 1})
     shots: int = 0
-    seed: int = 2024
+    seed: int = field(default=2024, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        check_rb_ladder(self.lengths, self.n_sequences)
+        check_rb_ladder(self.lengths)
         check_shots(self.shots)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -396,15 +403,19 @@ def two_stage_tuneup(
 ) -> TuneupResult:
     """Rough stage, then a fine stage seeded at the best rough iterate.
 
-    The stages must share the pulse basis and timing.  The fine stage's
-    best iterate is assessed with reference + interleaved RB (fidelity
-    from the decay ratio) next to the direct propagator fidelity oracle.
-    Stage trajectories are persisted even on failure.
+    Each stage runs once (``repeats`` must be 1), and the stages must share
+    the pulse basis and timing.  The fine stage's best iterate is assessed
+    with reference + interleaved RB (fidelity from the decay ratio) next to
+    the direct propagator fidelity oracle.  Stage trajectories are
+    persisted even on failure.
     """
     if rough_cfg.objective not in PULSE_LOSSES:
         raise ConfigError("rough stage must use a pulse objective")
     if fine_cfg.objective != "l_rb" or fine_cfg.objective_config is None:
         raise ConfigError("fine stage must use the l_rb pulse objective")
+    for stage, cfg in (("rough", rough_cfg), ("fine", fine_cfg)):
+        if cfg.repeats != 1:
+            raise ConfigError(f"{stage} stage repeats must be 1, got {cfg.repeats!r}")
     # the fine stage starts at the rough stage's best coefficients, which
     # are the same pulse only in the same basis and timing
     shared = ("n_basis", "active_dims", "duration", "dt", "distortion")

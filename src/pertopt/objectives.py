@@ -36,20 +36,21 @@ from .transmon import (
 class ObjectiveConfig:
     """Everything a pulse loss needs besides the pulse coefficients.
 
-    ``duration`` and ``dt`` must be finite numbers > 0, and ``duration /
-    dt`` a whole number of segments.  ``active_dims`` restricts
-    optimization to a subset of the flat ``(A, B)`` vector; inactive
-    coefficients are fixed at zero.  ``k_list`` must be strictly
-    increasing positive repetition counts; the loss is normalized by its
-    length.  ``shots`` must be an integer >= 0, and a ``distortion`` FIR
-    kernel needs at least one tap.  A field spelled unlike its config key
-    names the key in its ``key`` metadata.
+    A field's metadata sets its bounds (``duration`` and ``dt`` > 0,
+    ``n_basis`` and ``rb_sequences`` >= 1), which ``check_fields``
+    enforces, and ``duration / dt`` must be a whole number of segments.
+    ``active_dims`` restricts optimization to a subset of the flat
+    ``(A, B)`` vector; inactive coefficients are fixed at zero.
+    ``k_list`` must be strictly increasing positive repetition counts;
+    the loss is normalized by its length.  ``shots`` must be an integer
+    >= 0, and a ``distortion`` FIR kernel needs at least one tap.  A field
+    spelled unlike its config key names the key in its ``key`` metadata.
     """
 
     transmon: TransmonParams = TransmonParams()
-    duration: float = field(default=20.0, metadata={"key": "duration_ns"})
-    dt: float = field(default=1.0, metadata={"key": "dt_ns"})
-    n_basis: int = 10
+    duration: float = field(default=20.0, metadata={"key": "duration_ns", "gt": 0})
+    dt: float = field(default=1.0, metadata={"key": "dt_ns", "gt": 0})
+    n_basis: int = field(default=10, metadata={"ge": 1})
     k_list: tuple[int, ...] = (1, 2)
     shots: int = 1000
     active_dims: tuple[int, ...] | None = None
@@ -57,16 +58,10 @@ class ObjectiveConfig:
         default=None, metadata={"key": "distortion_fir"}
     )
     rb_lengths: tuple[int, ...] = DEFAULT_RB_LENGTHS
-    rb_sequences: int = 8
+    rb_sequences: int = field(default=8, metadata={"ge": 1})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_basis < 1:
-            raise ValueError(f"n_basis must be >= 1, got {self.n_basis!r}")
-        for name in ("duration", "dt"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         # raises unless dt divides the duration into whole segments
         hann_windows(self.n_basis, self.duration, self.dt)
         ks = self.k_list
@@ -81,9 +76,7 @@ class ObjectiveConfig:
                 raise ValueError("active_dims must be non-empty and unique")
             if any(i < 0 or i >= full for i in dims):
                 raise ValueError(f"active_dims entries must lie in [0, {full})")
-        check_rb_ladder(
-            self.rb_lengths, self.rb_sequences, "rb_lengths", "rb_sequences"
-        )
+        check_rb_ladder(self.rb_lengths, "rb_lengths")
         if self.distortion == ():
             raise ValueError("distortion must have at least one tap")
 

@@ -41,17 +41,12 @@ DEFAULT_RB_LENGTHS = (
 )
 
 
-def check_rb_ladder(
-    lengths: tuple[int, ...], n_sequences: int, lengths_name: str = "lengths",
-    sequences_name: str = "n_sequences",
-) -> None:
+def check_rb_ladder(lengths: tuple[int, ...], lengths_name: str = "lengths") -> None:
     """Raise ``ValueError`` unless a decay can be fitted to the ladder.
 
-    The fit needs at least three non-negative lengths and at least one
-    sequence per length; the names label the two settings in errors.
+    The fit needs at least three non-negative lengths; ``lengths_name``
+    labels the setting in errors.
     """
-    if n_sequences < 1:
-        raise ValueError(f"{sequences_name} must be >= 1, got {n_sequences!r}")
     if len(lengths) < 3 or any(m < 0 for m in lengths):
         raise ValueError(
             f"{lengths_name} needs >= 3 non-negative entries, got {lengths}"

@@ -32,40 +32,22 @@ class ScheduleSet:
     ``beta0``/``lam`` for momentum (``lam``'s ``key`` metadata names its
     config key), ``gamma`` for the constant second-moment coefficient,
     ``delta`` for the adaptive-update regularizer, and ``truncation_step``
-    to force ``beta_t = 0`` for all ``t`` beyond it.
+    to force ``beta_t = 0`` for all ``t`` beyond it.  Each field's
+    metadata sets its bounds, which ``check_fields`` enforces.
     """
 
-    a0: float = 0.032
-    alpha: float = 0.602
-    c0: float = 0.016
-    zeta: float = 0.101
-    beta0: float = 0.999
-    lam: float = field(default=0.0, metadata={"key": "lambda"})
-    gamma: float = 0.999
-    delta: float = 1e-8
-    truncation_step: int | None = None
+    a0: float = field(default=0.032, metadata={"gt": 0})
+    alpha: float = field(default=0.602, metadata={"ge": 0})
+    c0: float = field(default=0.016, metadata={"gt": 0})
+    zeta: float = field(default=0.101, metadata={"ge": 0})
+    beta0: float = field(default=0.999, metadata={"ge": 0, "lt": 1})
+    lam: float = field(default=0.0, metadata={"key": "lambda", "ge": 0})
+    gamma: float = field(default=0.999, metadata={"ge": 0, "lt": 1})
+    delta: float = field(default=1e-8, metadata={"gt": 0})
+    truncation_step: int | None = field(default=None, metadata={"ge": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.a0 <= 0:
-            raise ValueError(f"a0 must be > 0, got {self.a0}")
-        if self.c0 <= 0:
-            raise ValueError(f"c0 must be > 0, got {self.c0}")
-        for name in ("alpha", "zeta", "lam"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {value} (schedule exponents "
-                    "are non-negative)"
-                )
-        if not 0.0 <= self.beta0 < 1.0:
-            raise ValueError(f"beta0 must lie in [0, 1), got {self.beta0}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.truncation_step is not None and self.truncation_step < 0:
-            raise ValueError("truncation_step must be >= 0 when set")
 
     # __post_init__ has checked the constants; each call checks only t
     def learning_rate(self, t: int) -> float:

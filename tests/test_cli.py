@@ -232,6 +232,27 @@ def test_validate_accepts_a_full_run_config(tmp_path, capsys):
     assert "all conditions satisfied" in capsys.readouterr().out
 
 
+def test_validate_accepts_a_bare_schedules_object(tmp_path, capsys):
+    config = write_config(tmp_path, {"a0": 0.1, "c0": 0.05, "lambda": 0.6})
+    assert main(["validate", "--config", str(config)]) == 0
+    assert "all conditions satisfied" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{k: v for k, v in RUN_CONFIG.items() if k != "schedules"}, TUNEUP_CONFIG],
+    ids=["run-without-schedules", "tuneup"],
+)
+def test_validate_names_a_missing_schedules_section(tmp_path, capsys, config):
+    # a config that is no bare schedules object used to be read as one,
+    # its section names reported as unknown schedules keys
+    path = write_config(tmp_path, config)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config is missing the 'schedules' section\n"
+    )
+
+
 def test_config_error_exits_1(tmp_path, capsys):
     bad = dict(RUN_CONFIG, schedules={"a0": -1.0})
     config = write_config(tmp_path, bad)
@@ -380,6 +401,10 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         # mid-run (exit 2) after writing artifacts
         ("run", _with(PULSE_RUN_CONFIG, ["objective", "shots"], 10**20)),
         ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "shots"], 10**20)),
+        # each stage runs once: its repeats used to be ignored
+        ("tuneup", _with(_with(TUNEUP_CONFIG, ["rough", "repeats"], 5),
+                         ["fine", "repeats"], 3)),
+        ("tuneup", _with(TUNEUP_CONFIG, ["fine", "repeats"], 2)),
     ],
     ids=[
         "section-not-object", "string-budget", "string-repeats", "scalar-k_list",
@@ -405,6 +430,7 @@ _DEVICE_KEYS = ("anharmonicity_mhz", "drive_scale_mhz")
         "rough-active-dims-only", "stage-active-dims-differ", "stage-duration-differs",
         "stage-dt-differs", "stage-distortion-differs", "empty-distortion",
         "int64-overflowing-shots", "int64-overflowing-final-shots",
+        "stage-repeats", "fine-stage-repeats",
     ],
 )
 def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
@@ -488,18 +514,20 @@ def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, m
 
 
 def _section_keys(cls, elsewhere=()):
-    """``(key, annotation)`` of each field of ``cls`` a config section sets.
+    """``(key, annotation, field)`` of each field of ``cls`` a config
+    section sets.
 
     Keys are spelled as ``config_keys`` spells them.  A field holding a
     dataclass is built from other keys, and the ``elsewhere`` keys are set
     outside the section; both are left out.
     """
     hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, name in config_keys(cls).items():
         annotation = hints[name]
         held = typing.get_args(annotation) or (annotation,)
         if key not in elsewhere and not any(map(dataclasses.is_dataclass, held)):
-            yield key, annotation
+            yield key, annotation, fields[name]
 
 
 def _wrong_values(annotation):
@@ -540,7 +568,7 @@ _KEY_CASES = [
         id=f"{command}-{'.'.join(path)}.{key}={json.dumps(bad)}",
     )
     for command, config, path, keys in _SECTIONS
-    for key, annotation in keys
+    for key, annotation, _ in keys
     for bad in _wrong_values(annotation)
 ]
 
@@ -559,6 +587,96 @@ def test_every_section_key_refuses_a_wrong_kind_under_its_name(
     assert not out.exists()
 
 
+_BOUND_SYMBOLS = {"ge": ">=", "gt": ">", "lt": "<"}
+
+
+def _outside_bounds(annotation, metadata):
+    """``(symbol, bound, value)`` of each bound in a field's ``metadata``,
+    with a value just outside it: below a ``ge`` bound by 1 (an integer
+    field) or 0.5, and the bound itself for ``gt`` and ``lt``."""
+    step = 1 if int in (typing.get_args(annotation) or (annotation,)) else 0.5
+    for op, symbol in _BOUND_SYMBOLS.items():
+        if op in metadata:
+            bound = metadata[op]
+            yield symbol, bound, bound - step if op == "ge" else bound
+
+
+# a run config sets these ExperimentConfig keys outside its optimizer
+# section: repeats at its top level, noise_sigma in a synthetic objective
+_RUN_OUTSIDE_OPTIMIZER = [
+    ("run", RUN_CONFIG, path,
+     [entry for entry in _section_keys(ExperimentConfig) if entry[0] == key])
+    for path, key in (([], "repeats"), (["objective"], "noise_sigma"))
+]
+_BOUND_CASES = [
+    pytest.param(
+        command, _with(config, [*path, key], bad), key, symbol,
+        id=f"{command}-{'.'.join([*path, key])}{symbol}{json.dumps(bad)}",
+    )
+    for command, config, path, keys in [*_SECTIONS, *_RUN_OUTSIDE_OPTIMIZER]
+    for key, annotation, field in keys
+    for symbol, _, bad in _outside_bounds(annotation, field.metadata)
+]
+
+
+@pytest.mark.parametrize("command, config, key, symbol", _BOUND_CASES)
+def test_every_bound_refuses_a_value_outside_it_under_its_key(
+    tmp_path, capsys, command, config, key, symbol
+):
+    # bounds come from the fields' metadata, so a bounded field added to a
+    # config class is tested here without a case of its own
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f": {key} must be {symbol} " in err
+    assert not out.exists()
+
+
+_CONFIG_CLASSES = (
+    ScheduleSet, EstimatorConfig, ObjectiveConfig, ExperimentConfig, FinalRBConfig,
+    ScanConfig, TransmonParams,
+)
+# the arguments a config class needs besides the field under test
+_API_ARGS = {
+    ExperimentConfig: dict(
+        name="api", objective="sphere", estimator=EstimatorConfig(),
+        update_rule="sgd", schedules=ScheduleSet(), budget=0, initial_theta=[0.0],
+    ),
+}
+_API_BOUND_CASES = [
+    pytest.param(cls, f.name, *case, id=f"{cls.__name__}.{f.name}{case[0]}{case[2]}")
+    for cls in _CONFIG_CLASSES
+    for f in dataclasses.fields(cls)
+    for case in _outside_bounds(typing.get_type_hints(cls)[f.name], f.metadata)
+]
+
+
+@pytest.mark.parametrize("cls, name, symbol, bound, bad", _API_BOUND_CASES)
+def test_every_bound_refuses_a_value_outside_it_on_construction(
+    cls, name, symbol, bound, bad
+):
+    args = _API_ARGS.get(cls, {}) | {name: bad}
+    message = f"{name} must be {symbol} {bound}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**args)
+    if symbol == ">=":  # a ge bound itself is inside
+        cls(**args | {name: bound})
+
+
+def test_bound_tests_cover_every_bounded_field():
+    bounded = {
+        f for cls in _CONFIG_CLASSES for f in dataclasses.fields(cls)
+        if f.metadata.keys() & _BOUND_SYMBOLS.keys()
+    }
+    assert len(bounded) == 20
+    assert {
+        f for *_, keys in [*_SECTIONS, *_RUN_OUTSIDE_OPTIMIZER]
+        for *_, f in keys if f in bounded
+    } == bounded
+    assert len({(case.values[0], case.values[1]) for case in _API_BOUND_CASES}) == 20
+
+
 # the class whose fields each run config section sets
 _SECTION_CLASSES = {
     "objective": ObjectiveConfig, "estimator": EstimatorConfig,
@@ -573,7 +691,7 @@ _FIELD_NAME_CASES = [
 
 
 def test_section_keys_are_derived_from_the_fields():
-    keys = {(command, *path): {k for k, _ in ks} for command, _, path, ks in _SECTIONS}
+    keys = {(command, *path): {k for k, *_ in ks} for command, _, path, ks in _SECTIONS}
     assert keys["run", "objective"] >= {"n_levels", "anharmonicity_mhz", "dt_ns"}
     assert keys["run", "optimizer"] == {
         "update_rule", "budget_evaluations", "seed", "clip_box"
@@ -597,6 +715,37 @@ def test_a_field_name_is_no_second_spelling_of_its_key(tmp_path, capsys, section
         f"config error: unknown keys in {section}: [{name!r}]\n"
     )
     assert not out.exists()
+
+
+# the class each section of the README's bound table names
+_BOUND_TABLE_SECTIONS = {
+    "`schedules`": ScheduleSet, "`estimator`": EstimatorConfig,
+    "pulse `objective`": ObjectiveConfig, "top level": ExperimentConfig,
+    "synthetic `objective`": ExperimentConfig, "`optimizer`": ExperimentConfig,
+    "`final_rb`": FinalRBConfig,
+}
+
+
+def test_readme_bound_table_matches_the_field_metadata():
+    # one row per bounded key: `key` | section | `op bound`, ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| Config key | Section | Bounds |\n|---|---|---|\n"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
+    rows = {}
+    for line in table:
+        key, section, bounds = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[_BOUND_TABLE_SECTIONS[section], key.strip("`")] = bounds
+    assert len(rows) == len(table)
+    assert rows == {
+        (cls, key): ", ".join(
+            f"`{symbol} {f.metadata[op]}`"
+            for op, symbol in _BOUND_SYMBOLS.items() if op in f.metadata
+        )
+        for cls in _CONFIG_CLASSES
+        for key, name in config_keys(cls).items()
+        for f in dataclasses.fields(cls)
+        if f.name == name and f.metadata.keys() & _BOUND_SYMBOLS.keys()
+    }
 
 
 def test_readme_spelling_table_matches_config_keys():

@@ -234,6 +234,9 @@ def test_read_trajectory_csv_validation(tmp_path):
         (_CSV_HEADER + "0,0,0,1.5,,,\n", "row unlike its header"),
         (_CSV_HEADER + "0,0,0,1.5,,,,0.0,0.0\n", "row unlike its header"),
         (_CSV_HEADER + "0,0,0,1.5,,,,0.0\n0,1,2,x,0.1,0.1,0.9,0.5\n", "malformed cell"),
+        # these used to read as run 0 with one record at iteration 5
+        (_CSV_HEADER + "0,0,0,1.5,,,,0.0\n7,1,2,1.0,0.1,0.1,0.9,0.5\n", "run ids"),
+        (_CSV_HEADER + "0,0,0,1.5,,,,0.0\n0,5,2,1.0,0.1,0.1,0.9,0.5\n", "out of order"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as info:
@@ -250,6 +253,13 @@ def test_read_summary_jsonl_validation(tmp_path):
          "unexpected"),
         ("[0, 1.0, 0.0, 1]\n", "mapping"),
         ("{not json\n", "Expecting"),
+        # an ill-typed record used to read back silently
+        ('{"n_evals": "x", "loss_mean": null, "loss_std": [1], "n_runs": true}\n',
+         "n_evals must be an integer"),
+        ('{"n_evals": 0, "loss_mean": 1.0, "loss_std": -0.5, "n_runs": 1}\n',
+         "loss_std must be >= 0"),
+        ('{"n_evals": 0, "loss_mean": 1.0, "loss_std": 0.0, "n_runs": 0}\n',
+         "n_runs must be >= 1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=match) as info:
@@ -632,6 +642,14 @@ def test_tuneup_stage_validation(tmp_path):
         two_stage_tuneup(rough, fine, tmp_path)
     with pytest.raises(ConfigError, match="l_rb"):
         two_stage_tuneup(pulse_config(), pulse_config(), tmp_path)
+    # each stage runs once: a stage's repeats used to be ignored
+    rough = pulse_config(objective="l_combined")
+    for rough_repeats, fine_repeats, stage in ((5, 1, "rough"), (1, 3, "fine")):
+        with pytest.raises(ConfigError, match=f"^{stage} stage repeats must be 1, got"):
+            two_stage_tuneup(dataclasses.replace(rough, repeats=rough_repeats),
+                             dataclasses.replace(fine, repeats=fine_repeats),
+                             tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------- config parsing

@@ -382,10 +382,15 @@ def test_objective_config_validation():
     cfg = ObjectiveConfig(k_list=np.array([1, 3]), distortion=np.array([1, 0]))
     assert cfg.k_list == (1, 3) and type(cfg.k_list[0]) is int
     assert cfg.distortion == (1.0, 0.0) and type(cfg.distortion[0]) is float
-    for bad in (0.0, -20.0, np.inf, np.nan, None, "20"):
+    for bad in (np.inf, np.nan, None, "20"):
         with pytest.raises(ValueError, match="duration must be a finite number"):
             ObjectiveConfig(duration=bad)
         with pytest.raises(ValueError, match="dt must be a finite number"):
+            ObjectiveConfig(dt=bad)
+    for bad in (0.0, -20.0):
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            ObjectiveConfig(duration=bad)
+        with pytest.raises(ValueError, match="dt must be > 0"):
             ObjectiveConfig(dt=bad)
     with pytest.raises(ValueError, match="evenly divide"):
         ObjectiveConfig(duration=1.0, dt=2.0)

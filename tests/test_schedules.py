@@ -99,7 +99,7 @@ def test_truncation_step_must_be_an_integer_or_none():
     assert ScheduleSet(a0=1, alpha=np.float64(0.5)).learning_rate(4) == 0.5
     with pytest.raises(ValueError, match="truncation_step"):
         ScheduleSet(truncation_step=-1)
-    with pytest.raises(ValueError, match="exponents"):
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
         ScheduleSet(alpha=-0.1)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -133,8 +134,9 @@ CONFIG_CLASSES = {
 
 def test_config_classes_check_every_field_first():
     # check_fields types each field from its annotation, so a field added
-    # to a config class is checked without a rule of its own; the rest of
-    # __post_init__ holds only range and cross-field rules
+    # to a config class is checked without a rule of its own, and so are
+    # the bounds in its metadata; the rest of __post_init__ holds only
+    # cross-field and entry rules
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -156,6 +158,57 @@ def test_config_classes_check_every_field_first():
             for node in ast.walk(post_init) if isinstance(node, ast.Call)
         }
         assert not calls & {"is_integer", "is_finite_real", "object.__setattr__"}, name
+
+
+def _numeric_bound_comparisons(tree: ast.AST) -> list[str]:
+    """Each comparison in the ``__post_init__`` of a class that calls
+    ``check_fields`` with ``self.<field>`` on one side of an operator and
+    an int or float literal on the other."""
+
+    def number(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def own_field(node):
+        return isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"
+
+    post_inits = [
+        (cls.name, item)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+        and "check_fields(self" in ast.unparse(item)
+    ]
+    return [
+        f"{name}: {ast.unparse(node)}"
+        for name, post_init in post_inits
+        for node in ast.walk(post_init) if isinstance(node, ast.Compare)
+        if any(
+            own_field(a) and number(b) or number(a) and own_field(b)
+            for a, b in itertools.pairwise([node.left, *node.comparators])
+        )
+    ]
+
+
+def test_config_classes_bound_no_single_field_by_hand():
+    # a single field's bound belongs in its metadata (``ge``, ``gt``, ``lt``),
+    # where check_fields enforces it; __post_init__ keeps cross-field and
+    # entry rules
+    found = [
+        f"{path.name}: {comparison}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for comparison in _numeric_bound_comparisons(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    bad = ast.parse(
+        "class A:\n    def __post_init__(self):\n        check_fields(self)\n"
+        "        if self.a0 <= 0 or 0.0 <= self.beta0 < 1.0 or -1 > self.b: pass\n"
+        "        if self.x is None or len(self.k) < 1 or self.s.size > C: pass\n"
+        "class B:\n    def __post_init__(self):\n        if self.a0 <= 0: pass\n"
+    )
+    assert _numeric_bound_comparisons(bad) == [
+        "A: self.a0 <= 0", "A: 0.0 <= self.beta0 < 1.0", "A: -1 > self.b",
+    ]
 
 
 def test_import_does_not_load_scipy():
