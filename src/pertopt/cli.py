@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -43,13 +42,20 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _seeded(stage, seed: int | None):
+    """A stage config whose optimizer ``seed`` key is ``seed``, if one is given,
+    so that the config's own checks and key names judge it."""
+    optimizer = stage.get("optimizer") if isinstance(stage, dict) else None
+    if seed is None or not isinstance(optimizer, dict):
+        return stage  # parsing reports a section that is not an object
+    return stage | {"optimizer": optimizer | {"seed": seed}}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = experiment_config_from_dict(_load_config(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
+    config = _seeded(_load_config(args.config), args.seed)
     if args.repeats is not None:
-        cfg = replace(cfg, repeats=args.repeats)
-    result = run_experiment(cfg, args.out)
+        config["repeats"] = args.repeats
+    result = run_experiment(experiment_config_from_dict(config), args.out)
     for path in result.trajectory_paths:
         print(path)
     print(result.summary_path)
@@ -71,10 +77,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_tuneup(args: argparse.Namespace) -> int:
-    rough, fine, final_rb = tuneup_configs_from_dict(_load_config(args.config))
-    if args.seed is not None:
-        rough = replace(rough, base_seed=args.seed)
-        fine = replace(fine, base_seed=args.seed)
+    config = _load_config(args.config)
+    config |= {s: _seeded(config[s], args.seed) for s in ("rough", "fine") if s in config}
+    rough, fine, final_rb = tuneup_configs_from_dict(config)
     result = two_stage_tuneup(rough, fine, args.out, final_rb)
     for stage, trajectory in (("rough", result.rough), ("fine", result.fine)):
         iteration, loss, _ = trajectory.best()

@@ -109,11 +109,12 @@ class SummaryRecord:
 
     Only ``read_summary_jsonl`` checks the fields, so that
     ``summarize_trajectories`` builds its thousands of records unchecked.
+    A statistic that is not finite (losses near the float limit) is ``None``.
     """
 
     n_evals: int = field(metadata={"ge": 0})
-    loss_mean: float
-    loss_std: float = field(metadata={"ge": 0})
+    loss_mean: float | None
+    loss_std: float | None = field(metadata={"ge": 0})
     n_runs: int = field(metadata={"ge": 1})
 
 
@@ -129,11 +130,7 @@ class ExperimentResult:
 def _build_objective(cfg: ExperimentConfig, rng: np.random.Generator):
     if cfg.objective in PULSE_LOSSES:
         return make_pulse_objective(cfg.objective, cfg.objective_config, rng)
-    return synthetic_objective(
-        cfg.objective,
-        noise_sigma=cfg.noise_sigma,
-        seed=rng if cfg.noise_sigma > 0 else None,
-    )
+    return synthetic_objective(cfg.objective, cfg.noise_sigma, seed=rng)
 
 
 def run_single(cfg: ExperimentConfig, repeat_index: int) -> Trajectory:
@@ -291,7 +288,10 @@ def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRe
     # one row per evaluation count, reduced along its contiguous last axis:
     # each row sums pairwise as np.mean/np.std of that column alone would
     columns = np.ascontiguousarray(losses.T)
-    means, stds = columns.mean(axis=1).tolist(), columns.std(axis=1).tolist()
+    stats = np.array([columns.mean(axis=1), columns.std(axis=1)])
+    if not np.isfinite(stats).all():  # JSON has no inf or NaN: store None
+        stats = np.where(np.isfinite(stats), stats, None)
+    means, stds = stats.tolist()
     n_runs = len(trajectories)
     return [
         SummaryRecord(int(n), mean, std, n_runs)
@@ -300,9 +300,11 @@ def summarize_trajectories(trajectories: Sequence[Trajectory]) -> list[SummaryRe
 
 
 def write_summary_jsonl(path: str | Path, records: Sequence[SummaryRecord]) -> None:
-    """Atomic write (temp file + rename) of summary JSON lines."""
+    """Atomic write (temp file + rename) of summary JSON lines; strict JSON,
+    so a statistic that is not finite raises ``ValueError``."""
+    encode = json.JSONEncoder(allow_nan=False).encode
     # a record's __dict__ holds its fields in declaration order
-    lines = [json.dumps(vars(r)) for r in records]
+    lines = [encode(vars(r)) for r in records]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -5,15 +5,16 @@
 excited-state populations against the ideal populations produced by
 repeated perfect X90 gates applied to a reference state (prepared along
 +x or +y); ``l_rb`` scores a pulse by the fitted randomized-benchmarking
-decay instead.  Synthetic objectives (sphere, shifted quadratic, cubic)
-carry analytic gradients for estimator and optimizer tests.
+decay instead.  ``synthetic_objective`` builds the sphere, shifted
+quadratic and cubic test functions for estimator and optimizer tests.
+Every objective is such a closure: the optimizer sees only its values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -120,7 +121,6 @@ def pulse_propagator(theta: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
     return evolve(pulse, cfg.transmon)
 
 
-@lru_cache(maxsize=None)
 def _prepared_state(axis: str, n_levels: int) -> np.ndarray:
     """Read-only ground state after a perfect 90-degree rotation about ``axis``."""
     prep = embed_qubit_gate(rotation_unitary(axis, math.pi / 2.0), n_levels)
@@ -218,27 +218,23 @@ def make_pulse_objective(
     float64 bytes; the population losses then draw once per repetition
     count from ``|psi|**2``, and ``l_rb`` runs RB and fits its decay, fresh
     on every call.  A wrong-length or non-finite ``theta`` raises
-    ``ValueError`` at call time, and so does a loss that needs an rng
-    (shots > 0, or ``l_rb``) when none was given.
+    ``ValueError`` at call time, and so does a loss built without an rng
+    that needs one (``l_rb``, or shots > 0), naming the loss.
     """
     if name not in PULSE_LOSSES:
         raise ValueError(
             f"unknown pulse loss {name!r}, expected one of {PULSE_LOSSES}"
         )
-    missing_rng = None
     if rng is not None:
         rng = np.random.default_rng(rng)
-    elif name == "l_rb":
-        missing_rng = "loss_rb requires an rng for Clifford sequence sampling"
-    elif cfg.shots > 0:
-        missing_rng = "shot-sampled losses require an rng (Generator or seed)"
+    needs_rng = rng is None and (name == "l_rb" or cfg.shots > 0)
     readouts = None if name == "l_rb" else _readouts(name, cfg)
     # the last theta simulated (its float64 bytes) and its propagator
     last = [None, None]
 
     def objective(theta: np.ndarray) -> float:
-        if missing_rng is not None:
-            raise ValueError(missing_rng)
+        if needs_rng:
+            raise ValueError(f"{name} requires an rng (Generator or seed)")
         # an RSGF baseline repeats the loss probe's theta: reuse its
         # propagator, but draw the noise fresh
         theta = np.asarray(theta, dtype=float)
@@ -259,47 +255,18 @@ def make_pulse_objective(
 SYNTHETIC_OBJECTIVES = ("sphere", "shifted_quadratic", "cubic")
 
 
-@dataclass
-class SyntheticObjective:
-    """Test function with known gradient and optional additive noise."""
-
-    name: str
-    noise_sigma: float = 0.0
-    shift: float = 0.5
-    rng: np.random.Generator | None = None
-
-    def clean_value(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if self.name == "sphere":
-            return float(theta @ theta)
-        if self.name == "shifted_quadratic":
-            d = theta - self.shift
-            return float(d @ d)
-        return float(np.sum(theta**3))
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Analytic noise-free gradient (test oracle)."""
-        theta = np.asarray(theta, dtype=float)
-        if self.name == "sphere":
-            return 2.0 * theta
-        if self.name == "shifted_quadratic":
-            return 2.0 * (theta - self.shift)
-        return 3.0 * theta**2
-
-    def __call__(self, theta: np.ndarray) -> float:
-        value = self.clean_value(theta)
-        if self.noise_sigma > 0.0:
-            value += self.noise_sigma * self.rng.standard_normal()
-        return value
-
-
 def synthetic_objective(
     name: str,
     noise_sigma: float = 0.0,
     seed: int | np.random.Generator | None = None,
     shift: float = 0.5,
-) -> SyntheticObjective:
-    """Build a sphere / shifted-quadratic / cubic test objective."""
+) -> Callable[[np.ndarray], float]:
+    """The test function ``name`` as ``f(theta) -> float``: ``sphere`` is
+    ``theta @ theta``, ``shifted_quadratic`` the same about ``shift`` in
+    every coordinate, ``cubic`` the sum of ``theta**3``.  A positive
+    ``noise_sigma`` adds that times the next standard normal draw of
+    ``seed``'s stream, so it needs a seed; a noise-free one draws nothing.
+    """
     if name not in SYNTHETIC_OBJECTIVES:
         raise ValueError(
             f"unknown synthetic objective {name!r}, "
@@ -307,9 +274,19 @@ def synthetic_objective(
         )
     if not 0.0 <= noise_sigma < math.inf:  # NaN fails this too
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
-    rng = None
-    if noise_sigma > 0:
-        if seed is None:
-            raise ValueError("noisy synthetic objectives require a seed")
-        rng = np.random.default_rng(seed)
-    return SyntheticObjective(name=name, noise_sigma=noise_sigma, shift=shift, rng=rng)
+    if noise_sigma > 0 and seed is None:
+        raise ValueError("noisy synthetic objectives require a seed")
+    rng = np.random.default_rng(seed) if noise_sigma > 0 else None
+
+    def objective(theta: np.ndarray) -> float:
+        theta = np.asarray(theta, dtype=float)
+        if name == "cubic":
+            value = float(np.sum(theta**3))
+        else:
+            d = theta - shift if name == "shifted_quadratic" else theta
+            value = float(d @ d)
+        if rng is not None:
+            value += noise_sigma * rng.standard_normal()
+        return value
+
+    return objective

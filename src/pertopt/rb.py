@@ -82,10 +82,9 @@ class CliffordGroup:
     (earliest first) to build element ``k``; breadth-first order lists
     them shortest first.  ``multiplication[i, j]`` is the element equal to
     applying ``i`` then ``j``; ``inverse[i]`` composes with ``i`` to the
-    identity (element 0).  ``x90_element`` is the element equal to the
-    X90 generator.  The elements ``start:`` of ``positions[p] = (start,
-    codes)`` have a ``p``-th generator, ``codes``; ``pair_elements[i]`` is
-    ``run_rb``'s pair-code table, interleaved if ``i``.  All arrays are
+    identity (element 0).  The elements ``start:`` of ``positions[p] =
+    (start, codes)`` have a ``p``-th generator, ``codes``; ``pair_elements[i]``
+    is ``run_rb``'s pair-code table, interleaved if ``i``.  All arrays are
     read-only; ``multiplication`` and ``pair_elements`` are ``uint16``.
     """
 
@@ -93,7 +92,6 @@ class CliffordGroup:
     decompositions: tuple[tuple[int, ...], ...]
     multiplication: np.ndarray
     inverse: np.ndarray
-    x90_element: int
     positions: tuple[tuple[int, np.ndarray], ...]
     pair_elements: tuple[np.ndarray, np.ndarray]
 
@@ -165,7 +163,6 @@ def clifford_group() -> CliffordGroup:
         decompositions=tuple(decomps),
         multiplication=multiplication,
         inverse=inverse,
-        x90_element=x90,
         positions=tuple(positions),
         pair_elements=pair_elements,
     )

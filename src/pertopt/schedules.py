@@ -115,39 +115,18 @@ def validate_schedules(schedules: ScheduleSet) -> ValidationReport:
     check mutates the schedule or blocks anything.
     """
     a, z, lam = schedules.alpha, schedules.zeta, schedules.lam
-
-    checks = []
-    checks.append(
-        ConditionCheck(
-            name="learning-rate-divergence",
-            passed=a <= 1.0,
-            detail=f"alpha = {a} (requires alpha <= 1)",
-        )
-    )
-    checks.append(
-        ConditionCheck(
-            name="kushner-clark",
-            passed=a - z > 0.5,
-            detail=f"alpha - zeta = {a - z} (requires > 0.5)",
-        )
-    )
-    checks.append(
-        ConditionCheck(
-            name="adaptive-divergence",
-            passed=a + z <= 1.0,
-            detail=f"alpha + zeta = {a + z} (requires <= 1)",
-        )
-    )
-    if schedules.truncation_step is not None:
-        momentum_ok = True
-        detail = f"beta_t truncated to 0 after t = {schedules.truncation_step}"
-    else:
-        momentum_ok = lam > 0.0 and lam + a - z > 1.0
-        detail = (
+    conditions = {
+        "learning-rate-divergence": (a <= 1.0, f"alpha = {a} (requires alpha <= 1)"),
+        "kushner-clark": (a - z > 0.5, f"alpha - zeta = {a - z} (requires > 0.5)"),
+        "adaptive-divergence": (a + z <= 1.0, f"alpha + zeta = {a + z} (requires <= 1)"),
+        "momentum-decay": (
+            lam > 0.0 and lam + a - z > 1.0,
             f"lambda = {lam}, lambda + alpha - zeta = {lam + a - z} "
-            "(requires lambda > 0 and sum > 1, or a truncation_step)"
+            "(requires lambda > 0 and sum > 1, or a truncation_step)",
+        ),
+    }
+    if schedules.truncation_step is not None:
+        conditions["momentum-decay"] = (
+            True, f"beta_t truncated to 0 after t = {schedules.truncation_step}"
         )
-    checks.append(
-        ConditionCheck(name="momentum-decay", passed=momentum_ok, detail=detail)
-    )
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(tuple(ConditionCheck(n, *c) for n, c in conditions.items()))

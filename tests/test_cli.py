@@ -493,6 +493,9 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
          "duration_ns, dt_ns and distortion_fir"),
         ("run", _with(RUN_CONFIG, ["optimizer", "budget_evaluations"], -1),
          "config error: budget_evaluations must be >= 0, got -1"),
+        # a --seed override meets the optimizer seed's bound under its key
+        ("run --seed -5", RUN_CONFIG, "config error: seed must be >= 0, got -5"),
+        ("tuneup --seed -5", TUNEUP_CONFIG, "config error: seed must be >= 0, got -5"),
     ],
     ids=[
         "lambda", "seed", "negative-seed", "estimator", "duration_ns",
@@ -502,14 +505,15 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         "bool-drive-scale",
         *(f"{kind}-{key}" for key in _DEVICE_KEYS for kind in ("string", "list", "object")),
         "empty-distortion", "stage-n-basis-differ", "stage-duration-differs",
-        "negative-budget",
+        "negative-budget", "run-seed-override", "tuneup-seed-override",
     ],
 )
 def test_config_errors_name_the_key_written(tmp_path, capsys, command, config, message):
     # the dataclass field behind a renamed key (lam, base_seed, method,
     # duration) means nothing to the author of the config file
     path = write_config(tmp_path, config)
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
     assert message in capsys.readouterr().err
 
 

@@ -38,6 +38,7 @@ from pertopt import (
     write_summary_jsonl,
     write_trajectory_csv,
 )
+from pertopt.experiments import SummaryRecord
 from pertopt.optimizers import OptimizationAborted, Trajectory, TrajectoryRecord
 import pertopt
 import pertopt.experiments as experiments
@@ -291,6 +292,36 @@ def test_summary_recomputes_from_csv_files(tmp_path):
     grid = [rec.n_evals for rec in result.summary]
     assert grid[0] == 0 and grid == sorted(grid)
     assert all(rec.n_runs == 3 for rec in result.summary)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "losses, mean, std", [((1e200, -1e200), 0.0, None), ((1.5e308, 1.5e308), None, None)]
+)
+def test_summary_of_overflowing_losses_reads_back_as_written(tmp_path, losses, mean, std):
+    # the spread of +-1e200 (or the mean of two 1.5e308) overflows; it used
+    # to be written as Infinity, which the reader refused
+    trajectories = [
+        Trajectory(np.zeros(1), loss,
+                   [TrajectoryRecord(1, 2, loss, 0.1, 0.1, 0.0, np.zeros(1))])
+        for loss in losses
+    ]
+    summary = summarize_trajectories(trajectories)
+    assert [(r.loss_mean, r.loss_std) for r in summary] == [(mean, std)] * 2
+    path = tmp_path / "summary.jsonl"
+    write_summary_jsonl(path, summary)
+    assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+    assert read_summary_jsonl(path) == summary
+
+
+def test_summary_writer_refuses_what_its_reader_refuses(tmp_path):
+    path = tmp_path / "summary.jsonl"
+    with pytest.raises(ValueError, match="JSON"):
+        write_summary_jsonl(path, [SummaryRecord(0, 0.0, float("inf"), 2)])
+    assert not path.exists()
+    path.write_text('{"n_evals": 0, "loss_mean": 0.0, "loss_std": Infinity, "n_runs": 2}\n')
+    with pytest.raises(ValueError, match="loss_std must be a finite number or null"):
+        read_summary_jsonl(path)
 
 
 def test_summarize_validation():

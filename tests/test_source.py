@@ -211,6 +211,33 @@ def test_config_classes_bound_no_single_field_by_hand():
     ]
 
 
+def _callable_classes(tree: ast.AST) -> list[str]:
+    """Names of the classes in ``tree`` that define ``__call__``."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name == "__call__"
+            for item in node.body
+        )
+    ]
+
+
+def test_no_class_defines_call():
+    # every objective is a closure, like the pulse losses: a callable class
+    # would be a second kind, with fields a caller could change mid-run
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _callable_classes(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    bad = ast.parse("class A:\n    def __call__(self, x): pass\nclass B: pass\n")
+    assert _callable_classes(bad) == ["A"]
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only run-time dependency: scipy.linalg alone adds about
     # 20 MB of memory and 0.3 s to start-up, and the RB fit runs the in-repo
