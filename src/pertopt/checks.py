@@ -64,19 +64,21 @@ def _conform(annotation, value):
     return value
 
 
-# each bound a field's metadata may set, named as its ``operator`` test
-_BOUNDS = {"ge": ">=", "gt": ">", "lt": "<"}
+# each rule a field's metadata may set: its words in an error, and its test
+_RULES = {
+    "ge": (">=", operator.ge), "gt": (">", operator.gt), "lt": ("<", operator.lt),
+    "in": ("one of", lambda value, choices: value in choices),
+}
 
 
 @lru_cache(maxsize=None)
 def _field_types(cls) -> tuple:
-    """``(name, annotation, kind, bounds)`` of each field, resolved once per
-    class; ``bounds`` holds ``(symbol, test, bound)`` per bound it sets."""
+    """``(name, annotation, kind, rules)`` of each field, resolved once per
+    class; ``rules`` holds ``(symbol, test, bound)`` per rule it sets."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (f.name, hints[f.name], _kind(hints[f.name]), tuple(
-            (symbol, getattr(operator, op), f.metadata[op])
-            for op, symbol in _BOUNDS.items() if op in f.metadata
+            (*_RULES[op], f.metadata[op]) for op in _RULES if op in f.metadata
         ))
         for f in dataclasses.fields(cls)
     )
@@ -94,14 +96,16 @@ def check_fields(obj, error: type[Exception] = ValueError) -> None:
       or bools, stored as a new float array;
     - ``X | None``: ``None`` or an ``X``; a dataclass: an instance of it.
 
-    A field of the right kind then meets each bound its metadata sets, for
-    example ``field(default=0.032, metadata={"gt": 0})``: ``ge`` (>=),
-    ``gt`` (>) and ``lt`` (<); ``None`` meets every bound.  The first field
-    of another kind raises ``error("<field> must be <kind>, got <value>")``
-    and the first outside a bound ``error("<field> must be <op> <bound>,
-    got <value>")``.  Cross-field and entry rules stay with each class.
+    A field of the right kind then meets each rule its metadata sets, for
+    example ``field(default=0.032, metadata={"gt": 0})``: the bounds ``ge``
+    (>=), ``gt`` (>) and ``lt`` (<), and ``in``, a tuple of the allowed
+    values; ``None`` meets every rule.  The first field of another kind
+    raises ``error("<field> must be <kind>, got <value>")``, and the first
+    to break a rule ``error("<field> must be <op> <bound>, got <value>")``,
+    ``in`` as ``one of <choices>``.  Cross-field and entry rules stay with
+    each class.
     """
-    for name, annotation, kind, bounds in _field_types(type(obj)):
+    for name, annotation, kind, rules in _field_types(type(obj)):
         value = getattr(obj, name)
         try:
             stored = _conform(annotation, value)
@@ -109,9 +113,18 @@ def check_fields(obj, error: type[Exception] = ValueError) -> None:
             raise error(f"{name} must be {kind}, got {value!r}") from None
         if stored is not value:
             object.__setattr__(obj, name, stored)
-        for symbol, test, bound in bounds:
+        for symbol, test, bound in rules:
             if stored is not None and not test(stored, bound):
                 raise error(f"{name} must be {symbol} {bound}, got {value!r}")
+
+
+def check_choice(
+    name: str, value, choices: tuple, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error("<name> must be one of <choices>, got <value>")`` unless
+    ``value`` is one of ``choices``, as a field's ``in`` rule does."""
+    if value not in choices:
+        raise error(f"{name} must be one of {choices}, got {value!r}")
 
 
 def check_shots(shots) -> None:

@@ -59,16 +59,12 @@ class EstimatorConfig:
     ``n_samples`` billed evaluations); setting it bills the baseline too.
     """
 
-    method: str = field(default="spsa", metadata={"key": "estimator"})
+    method: str = field(default="spsa", metadata={"key": "estimator", "in": _METHODS})
     n_samples: int = field(default=1, metadata={"ge": 1})
     count_baseline: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.method not in _METHODS:
-            raise ValueError(
-                f"unknown estimator {self.method!r}, expected one of {_METHODS}"
-            )
 
     def evals_per_update(self, dim: int) -> int:
         """Billed objective evaluations for one averaged gradient estimate."""

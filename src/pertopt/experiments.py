@@ -23,7 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import check_fields, check_shots, config_keys, is_finite_real, is_integer
+from .checks import (
+    check_choice, check_fields, check_shots, config_keys, is_finite_real, is_integer,
+)
 from .estimators import EstimatorConfig
 from .objectives import (
     PULSE_LOSSES,
@@ -63,9 +65,9 @@ class ExperimentConfig:
     """One experiment: objective x estimator x update rule x schedules."""
 
     name: str
-    objective: str
+    objective: str = field(metadata={"in": (*PULSE_LOSSES, *SYNTHETIC_OBJECTIVES)})
     estimator: EstimatorConfig
-    update_rule: str
+    update_rule: str = field(metadata={"in": UPDATE_RULES})
     schedules: ScheduleSet
     budget: int = field(metadata={"key": "budget_evaluations", "ge": 0})
     initial_theta: np.ndarray
@@ -79,13 +81,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
         _check_name(self.name)
-        if self.objective not in (*PULSE_LOSSES, *SYNTHETIC_OBJECTIVES):
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.update_rule not in UPDATE_RULES:
-            raise ConfigError(
-                f"unknown update rule {self.update_rule!r}, "
-                f"expected one of {UPDATE_RULES}"
-            )
         if self.clip_box is not None and not self.clip_box[0] < self.clip_box[1]:
             raise ConfigError("clip_box low must be < high")
         if self.objective in PULSE_LOSSES:
@@ -98,9 +93,10 @@ class ExperimentConfig:
                     f"initial_theta has length {self.initial_theta.size}, "
                     f"objective expects {self.objective_config.dim}"
                 )
-
-    def run_seed(self, repeat_index: int) -> int:
-        return self.base_seed + repeat_index
+            if self.noise_sigma:  # only a synthetic objective adds noise
+                raise ConfigError(f"objective {self.objective!r} takes no noise_sigma")
+        elif self.objective_config is not None:
+            raise ConfigError(f"objective {self.objective!r} takes no objective_config")
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def _build_objective(cfg: ExperimentConfig, rng: np.random.Generator):
 
 def run_single(cfg: ExperimentConfig, repeat_index: int) -> Trajectory:
     """One seeded repeat: estimator and objective get disjoint substreams."""
-    root = np.random.SeedSequence(cfg.run_seed(repeat_index))
+    root = np.random.SeedSequence(cfg.base_seed + repeat_index)
     est_seq, obj_seq = root.spawn(2)
     objective = _build_objective(cfg, np.random.default_rng(obj_seq))
     return run_optimization(
@@ -325,15 +321,13 @@ def read_summary_jsonl(path: str | Path) -> list[SummaryRecord]:
 class ScanConfig:
     """Grid scan over the two active dims of a pulse objective."""
 
-    objective: str
+    objective: str = field(metadata={"in": PULSE_LOSSES})
     objective_config: ObjectiveConfig
     values_1: np.ndarray
     values_2: np.ndarray
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        if self.objective not in PULSE_LOSSES:
-            raise ConfigError(f"scan objective must be a pulse loss, got {self.objective!r}")
         if (
             self.objective_config.active_dims is None
             or len(self.objective_config.active_dims) != 2
@@ -411,9 +405,8 @@ def two_stage_tuneup(
     the direct propagator fidelity oracle.  Stage trajectories are
     persisted even on failure.
     """
-    if rough_cfg.objective not in PULSE_LOSSES:
-        raise ConfigError("rough stage must use a pulse objective")
-    if fine_cfg.objective != "l_rb" or fine_cfg.objective_config is None:
+    check_choice("rough stage objective", rough_cfg.objective, PULSE_LOSSES, ConfigError)
+    if fine_cfg.objective != "l_rb":
         raise ConfigError("fine stage must use the l_rb pulse objective")
     for stage, cfg in (("rough", rough_cfg), ("fine", fine_cfg)):
         if cfg.repeats != 1:
@@ -538,10 +531,7 @@ def _parse_objective(section) -> tuple[dict, int | None]:
         raise ConfigError("objective section needs an 'objective' name")
     rest = dict(section)
     name = rest.pop("objective")
-    if name not in CONFIG_OBJECTIVES:
-        raise ConfigError(
-            f"objective must be one of {CONFIG_OBJECTIVES}, got {name!r}"
-        )
+    check_choice("objective", name, CONFIG_OBJECTIVES, ConfigError)
     if name in PULSE_LOSSES:
         keys = config_keys(TransmonParams)
         device = {keys[key]: rest.pop(key) for key in keys if key in rest}
@@ -572,8 +562,8 @@ def _parse_initial_theta(spec, dim: int | None) -> np.ndarray | list:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("initial_theta must be a list or a {kind: ...} object")
     kind = spec["kind"]
-    if kind not in tuple(_THETA_KEYS):  # a list-valued kind is not hashable
-        raise ConfigError(f"unknown initial_theta kind {kind!r}")
+    # a tuple: a list-valued kind is not hashable
+    check_choice("initial_theta kind", kind, tuple(_THETA_KEYS), ConfigError)
     _require_keys(spec, _THETA_KEYS[kind], f"initial_theta of kind {kind!r}")
     if dim is None:
         raise ConfigError(
@@ -663,8 +653,7 @@ def scan_config_from_dict(config: dict) -> ScanConfig:
         raise ConfigError("scan config needs 'objective' and 'scan' sections")
     _check_name(config.get("name", ""))
     objective, _ = _parse_objective(config["objective"])
-    if objective["objective"] not in PULSE_LOSSES:
-        raise ConfigError("scan objective must be a pulse loss")
+    check_choice("scan objective", objective["objective"], PULSE_LOSSES, ConfigError)
     scan = config["scan"]
     if isinstance(scan, dict):
         scan = {key: _scan_values(value, key) for key, value in scan.items()}

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import check_fields, check_shots
+from .checks import check_choice, check_fields, check_shots
 from .rb import DEFAULT_RB_LENGTHS, check_rb_ladder, fit_rb_decay, run_rb
 from .transmon import (
     TransmonParams,
@@ -221,10 +221,7 @@ def make_pulse_objective(
     ``ValueError`` at call time, and so does a loss built without an rng
     that needs one (``l_rb``, or shots > 0), naming the loss.
     """
-    if name not in PULSE_LOSSES:
-        raise ValueError(
-            f"unknown pulse loss {name!r}, expected one of {PULSE_LOSSES}"
-        )
+    check_choice("pulse loss", name, PULSE_LOSSES)
     if rng is not None:
         rng = np.random.default_rng(rng)
     needs_rng = rng is None and (name == "l_rb" or cfg.shots > 0)
@@ -267,11 +264,7 @@ def synthetic_objective(
     ``noise_sigma`` adds that times the next standard normal draw of
     ``seed``'s stream, so it needs a seed; a noise-free one draws nothing.
     """
-    if name not in SYNTHETIC_OBJECTIVES:
-        raise ValueError(
-            f"unknown synthetic objective {name!r}, "
-            f"expected one of {SYNTHETIC_OBJECTIVES}"
-        )
+    check_choice("synthetic objective", name, SYNTHETIC_OBJECTIVES)
     if not 0.0 <= noise_sigma < math.inf:  # NaN fails this too
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     if noise_sigma > 0 and seed is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import is_integer
+from .checks import check_choice, is_integer
 from .estimators import (
     EstimatorConfig,
     Objective,
@@ -160,12 +160,6 @@ class Trajectory:
         return len(self.records)
 
     @property
-    def final_theta(self) -> np.ndarray:
-        if self.records:
-            return self.records[-1].theta
-        return self.initial_theta
-
-    @property
     def total_evals(self) -> int:
         return self.records[-1].n_evals if self.records else 0
 
@@ -203,10 +197,7 @@ def run_optimization(
     objective owns its noise stream.  Identical seeds and objective give a
     bitwise-identical trajectory.
     """
-    if update_rule not in UPDATE_RULES:
-        raise ValueError(
-            f"unknown update rule {update_rule!r}, expected one of {UPDATE_RULES}"
-        )
+    check_choice("update_rule", update_rule, UPDATE_RULES)
     if not is_integer(budget) or budget < 0:
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
     rng = np.random.default_rng(seed)

@@ -44,12 +44,13 @@ DEFAULT_RB_LENGTHS = (
 def check_rb_ladder(lengths: tuple[int, ...], lengths_name: str = "lengths") -> None:
     """Raise ``ValueError`` unless a decay can be fitted to the ladder.
 
-    The fit needs at least three non-negative lengths; ``lengths_name``
-    labels the setting in errors.
+    ``A p^m + B`` has three parameters, so the fit needs at least three
+    distinct lengths, none negative; ``lengths_name`` labels the setting in
+    errors.
     """
-    if len(lengths) < 3 or any(m < 0 for m in lengths):
+    if len(set(lengths)) < 3 or any(m < 0 for m in lengths):
         raise ValueError(
-            f"{lengths_name} needs >= 3 non-negative entries, got {lengths}"
+            f"{lengths_name} needs >= 3 distinct non-negative lengths, got {lengths}"
         )
 
 

@@ -21,13 +21,13 @@ with the static diagonal.  So a segment's propagator is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_fields, check_shots
+from .checks import check_choice, check_fields, check_shots
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,16 +48,12 @@ class TransmonParams:
     frequency.
     """
 
-    n_levels: int = 3
+    n_levels: int = field(default=3, metadata={"in": _ALLOWED_LEVELS})
     anharmonicity_mhz: float = 320.0
     drive_scale_mhz: float = 25.0
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_levels not in _ALLOWED_LEVELS:
-            raise ValueError(
-                f"n_levels must be one of {_ALLOWED_LEVELS}, got {self.n_levels!r}"
-            )
         for name in ("anharmonicity", "drive_scale"):
             # the rad/ns value, so an MHz value that overflows it is refused too
             if not 0 < getattr(self, name) < math.inf:
@@ -304,8 +300,7 @@ def measure_population(
 
 def rotation_unitary(axis: str, angle: float) -> np.ndarray:
     """Qubit rotation ``exp(-i * angle * sigma_axis / 2)``."""
-    if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+    check_choice("axis", axis, ("x", "y", "z"))
     half = angle / 2.0
     c, s = math.cos(half), math.sin(half)
     if axis == "x":

@@ -265,7 +265,10 @@ def test_unknown_update_rule_exits_1(tmp_path, capsys):
     config = write_config(tmp_path, bad)
     out = tmp_path / "results"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
-    assert "unknown update rule 'adamm'" in capsys.readouterr().err
+    assert (
+        "config error: update_rule must be one of ('sgd', 'momentum', 'adam'), "
+        "got 'adamm'" in capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -300,6 +303,25 @@ def _with(config, path, value):
         section = section[key]
     section[path[-1]] = value
     return config
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("run", _with(PULSE_RUN_CONFIG, ["objective", "rb_lengths"], [30, 30, 30]),
+         "rb_lengths"),
+        ("tuneup", _with(TUNEUP_CONFIG, ["final_rb", "lengths"], [30, 30, 30, 30]),
+         "lengths"),
+    ],
+    ids=["run-rb-lengths", "tuneup-final-rb-lengths"],
+)
+def test_a_ladder_of_few_distinct_lengths_exits_1(tmp_path, capsys, command, config, key):
+    # A p^m + B has three parameters: the fit needs three distinct lengths
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert f"{key} needs >= 3 distinct non-negative lengths" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _RANDOM_THETA = {"kind": "random_uniform", "low": -0.5, "high": 0.5}
@@ -471,7 +493,8 @@ def test_wrong_typed_config_exits_1(tmp_path, capsys, command, config):
         ("scan", {k: v for k, v in SCAN_CONFIG.items() if k != "scan"},
          "config error: scan config needs 'objective' and 'scan' sections"),
         ("scan", _with(SCAN_CONFIG, ["objective"], {"objective": "sphere", "dimension": 2}),
-         "config error: scan objective must be a pulse loss"),
+         "config error: scan objective must be one of ('lx', 'ly', 'l_combined', "
+         "'l_rb'), got 'sphere'"),
         ("run", _with(PULSE_RUN_CONFIG, ["objective", "anharmonicity_mhz"], -5),
          "invalid objective: anharmonicity_mhz must be a finite number > 0, got -5"),
         ("run", _with(PULSE_RUN_CONFIG, ["objective", "drive_scale_mhz"], True),
@@ -681,6 +704,89 @@ def test_bound_tests_cover_every_bounded_field():
     assert len({(case.values[0], case.values[1]) for case in _API_BOUND_CASES}) == 20
 
 
+def _outside_choices(annotation, metadata):
+    """``(choices, value)`` for a field whose metadata sets ``in``, with a
+    value of its kind above every choice: the largest plus 1 (an integer
+    field) or plus ``"x"``."""
+    if "in" in metadata:
+        choices = metadata["in"]
+        yield choices, max(choices) + (1 if annotation is int else "x")
+
+
+# a config names its objective in the objective section: ExperimentConfig's
+# and ScanConfig's objective field
+_OBJECTIVE_NAMES = [
+    (command, config, ["objective"],
+     [entry for entry in _section_keys(cls) if entry[0] == "objective"])
+    for command, config, cls in (
+        ("run", RUN_CONFIG, ExperimentConfig), ("scan", SCAN_CONFIG, ScanConfig)
+    )
+]
+_CHOICE_CASES = [
+    pytest.param(
+        command, _with(config, [*path, key], bad), key, bad,
+        id=f"{command}-{'.'.join([*path, key])}={json.dumps(bad)}",
+    )
+    for command, config, path, keys in [*_SECTIONS, *_OBJECTIVE_NAMES]
+    for key, annotation, field in keys
+    for _, bad in _outside_choices(annotation, field.metadata)
+]
+
+
+@pytest.mark.parametrize("command, config, key, bad", _CHOICE_CASES)
+def test_every_choice_refuses_a_value_outside_it_under_its_key(
+    tmp_path, capsys, command, config, key, bad
+):
+    # choices come from the fields' metadata, like the bounds; a config's
+    # objective name meets CONFIG_OBJECTIVES first, with the same message
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f": {key} must be one of (" in err
+    assert err.endswith(f"), got {bad!r}\n")
+    assert not out.exists()
+
+
+_API_CHOICE_ARGS = _API_ARGS | {
+    ScanConfig: dict(
+        objective="lx", objective_config=ObjectiveConfig(active_dims=(0, 1)),
+        values_1=[0.0], values_2=[0.0],
+    ),
+}
+_API_CHOICE_CASES = [
+    pytest.param(cls, f.name, *case, id=f"{cls.__name__}.{f.name}={case[1]!r}")
+    for cls in _CONFIG_CLASSES
+    for f in dataclasses.fields(cls)
+    for case in _outside_choices(typing.get_type_hints(cls)[f.name], f.metadata)
+]
+
+
+@pytest.mark.parametrize("cls, name, choices, bad", _API_CHOICE_CASES)
+def test_every_choice_refuses_a_value_outside_it_on_construction(cls, name, choices, bad):
+    args = _API_CHOICE_ARGS.get(cls, {})
+    message = f"{name} must be one of {choices}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**args | {name: bad})
+    cls(**args)  # the arguments meet every other rule
+
+
+def test_choice_tests_cover_every_choice_field():
+    chosen = {
+        f"{cls.__name__}.{f.name}" for cls in _CONFIG_CLASSES
+        for f in dataclasses.fields(cls) if "in" in f.metadata
+    }
+    assert chosen == {
+        "ExperimentConfig.objective", "ExperimentConfig.update_rule",
+        "EstimatorConfig.method", "TransmonParams.n_levels", "ScanConfig.objective",
+    }
+    covered = {
+        f for *_, keys in [*_SECTIONS, *_OBJECTIVE_NAMES]
+        for *_, f in keys if "in" in f.metadata
+    }
+    assert len(covered) == len(chosen) == len(_API_CHOICE_CASES) == 5
+
+
 # the class whose fields each run config section sets
 _SECTION_CLASSES = {
     "objective": ObjectiveConfig, "estimator": EstimatorConfig,
@@ -721,35 +827,41 @@ def test_a_field_name_is_no_second_spelling_of_its_key(tmp_path, capsys, section
     assert not out.exists()
 
 
-# the class each section of the README's bound table names
+# the classes each section of the README's rule table names
 _BOUND_TABLE_SECTIONS = {
-    "`schedules`": ScheduleSet, "`estimator`": EstimatorConfig,
-    "pulse `objective`": ObjectiveConfig, "top level": ExperimentConfig,
-    "synthetic `objective`": ExperimentConfig, "`optimizer`": ExperimentConfig,
-    "`final_rb`": FinalRBConfig,
+    "`schedules`": [ScheduleSet], "`estimator`": [EstimatorConfig],
+    "pulse `objective`": [ObjectiveConfig, TransmonParams],
+    "top level": [ExperimentConfig], "synthetic `objective`": [ExperimentConfig],
+    "`optimizer`": [ExperimentConfig], "`final_rb`": [FinalRBConfig],
 }
+_RULE_SYMBOLS = _BOUND_SYMBOLS | {"in": "one of"}
 
 
 def test_readme_bound_table_matches_the_field_metadata():
-    # one row per bounded key: `key` | section | `op bound`, ...
+    # one row per key with a rule: `key` | section | `op bound`, ...; the
+    # objective name's rule is CONFIG_OBJECTIVES, which the prose states
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    header = "| Config key | Section | Bounds |\n|---|---|---|\n"
+    header = "| Config key | Section | Rules |\n|---|---|---|\n"
     table = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()
     rows = {}
     for line in table:
-        key, section, bounds = (cell.strip() for cell in line.strip("|").split("|"))
-        rows[_BOUND_TABLE_SECTIONS[section], key.strip("`")] = bounds
+        key, section, rules = (cell.strip() for cell in line.strip("|").split("|"))
+        key = key.strip("`")
+        (cls,) = [c for c in _BOUND_TABLE_SECTIONS[section] if key in config_keys(c)]
+        rows[cls, key] = rules
     assert len(rows) == len(table)
     assert rows == {
         (cls, key): ", ".join(
             f"`{symbol} {f.metadata[op]}`"
-            for op, symbol in _BOUND_SYMBOLS.items() if op in f.metadata
+            for op, symbol in _RULE_SYMBOLS.items() if op in f.metadata
         )
         for cls in _CONFIG_CLASSES
         for key, name in config_keys(cls).items()
         for f in dataclasses.fields(cls)
-        if f.name == name and f.metadata.keys() & _BOUND_SYMBOLS.keys()
+        if f.name == name != "objective" and f.metadata.keys() & _RULE_SYMBOLS.keys()
     }
+    names = [f"`{name}`" for name in experiments.CONFIG_OBJECTIVES]
+    assert f"{', '.join(names[:-1])} and {names[-1]}" in " ".join(readme.split())
 
 
 def test_readme_spelling_table_matches_config_keys():

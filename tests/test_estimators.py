@@ -275,7 +275,8 @@ def test_evals_per_update_billing_table():
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ValueError, match="unknown estimator"):
+    with pytest.raises(ValueError, match=r"^method must be one of \('fdsa', 'spsa', "
+                       r"'rsgf'\), got 'newton'$"):
         EstimatorConfig("newton")
     with pytest.raises(ValueError, match="n_samples"):
         EstimatorConfig("spsa", n_samples=0)

@@ -82,7 +82,7 @@ def pulse_config(**kwargs):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="unknown objective"):
+    with pytest.raises(ConfigError, match="^objective must be one of .*, got 'rastrigin'$"):
         sphere_config(objective="rastrigin")
     with pytest.raises(ConfigError, match="repeats"):
         sphere_config(repeats=0)
@@ -99,7 +99,35 @@ def test_config_validation():
         pulse_config(initial_theta=np.zeros(7))
     with pytest.raises(ConfigError, match="base_seed must be >= 0"):
         sphere_config(base_seed=-1)
-    assert sphere_config(base_seed=9).run_seed(3) == 12
+
+
+def test_a_setting_its_objective_ignores_is_refused():
+    # a pulse loss adds no noise and a synthetic objective reads no
+    # objective config, so either setting would be silently ignored
+    with pytest.raises(ConfigError, match="^objective 'lx' takes no noise_sigma$"):
+        pulse_config(noise_sigma=0.5)
+    with pytest.raises(ConfigError, match="^objective 'sphere' takes no objective_config$"):
+        sphere_config(objective_config=ObjectiveConfig())
+    pulse_config(noise_sigma=0.0)
+    sphere_config(objective_config=None)
+
+
+@pytest.mark.parametrize(
+    "cls, name, lengths",
+    [
+        (ObjectiveConfig, "rb_lengths", (5, 5, 5)),
+        (ObjectiveConfig, "rb_lengths", (0, 5, 0, 5)),
+        (FinalRBConfig, "lengths", (30, 30, 30, 30)),
+        (FinalRBConfig, "lengths", (0, 0, 900)),
+    ],
+)
+def test_an_rb_ladder_needs_three_distinct_lengths(cls, name, lengths):
+    # A p^m + B has three parameters, so fewer distinct lengths fit anything
+    message = f"{name} needs >= 3 distinct non-negative lengths, got {lengths}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{name: lengths})
+    # repeated lengths are fine beside three distinct ones
+    cls(**{name: (*lengths, max(lengths) + 1, max(lengths) + 2)})
 
 
 def test_run_experiment_persists_everything(tmp_path):
@@ -281,7 +309,10 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_repeats_use_distinct_streams(tmp_path):
     result = run_experiment(sphere_config(repeats=2), tmp_path)
     t0, t1 = result.trajectories
-    assert not np.array_equal(t0.final_theta, t1.final_theta)
+    assert not np.array_equal(t0.records[-1].theta, t1.records[-1].theta)
+    # repeat r runs from seed base_seed + r
+    shifted = run_single(sphere_config(base_seed=12), 0)
+    assert _records(run_single(sphere_config(base_seed=9), 3)) == _records(shifted)
 
 
 def test_summary_recomputes_from_csv_files(tmp_path):
@@ -421,7 +452,8 @@ def test_landscape_scan_of_l_rb_is_reproducible():
 
 
 def test_scan_config_validation():
-    with pytest.raises(ConfigError, match="pulse loss"):
+    with pytest.raises(ConfigError, match=r"^objective must be one of \('lx', 'ly', "
+                       r"'l_combined', 'l_rb'\), got 'sphere'$"):
         ScanConfig(
             objective="sphere",
             objective_config=scan_objective_config(),
@@ -669,7 +701,7 @@ def test_aborted_tuneup_stage_keeps_its_trajectories(tmp_path, monkeypatch, fail
 def test_tuneup_stage_validation(tmp_path):
     rough = sphere_config()
     fine = pulse_config(objective="l_rb", objective_config=rb_objective_config())
-    with pytest.raises(ConfigError, match="pulse objective"):
+    with pytest.raises(ConfigError, match="^rough stage objective must be one of "):
         two_stage_tuneup(rough, fine, tmp_path)
     with pytest.raises(ConfigError, match="l_rb"):
         two_stage_tuneup(pulse_config(), pulse_config(), tmp_path)
@@ -890,7 +922,8 @@ def test_initial_theta_kinds():
     assert np.all(np.abs(cfg_a.initial_theta) <= 0.2)
     assert cfg_a.initial_theta.size == 3
 
-    with pytest.raises(ConfigError, match="unknown initial_theta kind"):
+    with pytest.raises(ConfigError, match=r"^initial_theta kind must be one of "
+                       r"\('zeros', 'random_uniform'\), got 'gaussian'$"):
         experiment_config_from_dict(
             synthetic_dict(initial_theta={"kind": "gaussian"})
         )

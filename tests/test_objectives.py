@@ -428,7 +428,8 @@ def test_distortion_config_feeds_the_propagator():
 
 
 def test_unknown_pulse_loss_name():
-    with pytest.raises(ValueError, match="unknown pulse loss"):
+    with pytest.raises(ValueError, match=r"^pulse loss must be one of \('lx', 'ly', "
+                       r"'l_combined', 'l_rb'\), got 'fidelity'$"):
         make_pulse_objective("fidelity", exact_cfg())
 
 
@@ -486,7 +487,8 @@ def test_noise_free_synthetic_ignores_the_seed(name):
 
 
 def test_synthetic_validation():
-    with pytest.raises(ValueError, match="unknown synthetic"):
+    with pytest.raises(ValueError, match=r"^synthetic objective must be one of "
+                       r"\('sphere', 'shifted_quadratic', 'cubic'\), got 'rosenbrock'$"):
         synthetic_objective("rosenbrock")
     with pytest.raises(ValueError, match="seed"):
         synthetic_objective("sphere", noise_sigma=0.1)

@@ -277,13 +277,12 @@ def test_trajectory_properties_empty_and_filled():
     empty = Trajectory(initial_theta=np.array([2.0]), initial_loss=4.0)
     assert empty.n_updates == 0
     assert empty.total_evals == 0
-    np.testing.assert_array_equal(empty.final_theta, [2.0])
 
     filled = Trajectory(initial_theta=np.array([2.0]), initial_loss=4.0,
                         records=[_record(1, 1.0, -1.0)])
     assert filled.n_updates == 1
     assert filled.total_evals == 2
-    np.testing.assert_array_equal(filled.final_theta, [-1.0])
+    np.testing.assert_array_equal(filled.records[-1].theta, [-1.0])
 
 
 # ------------------------------------------------------- optimization loop
@@ -449,7 +448,8 @@ def test_failed_initial_loss_probe_aborts_with_empty_trajectory():
 
 
 def test_unknown_update_rule_and_bad_budget():
-    with pytest.raises(ValueError, match="unknown update rule"):
+    with pytest.raises(ValueError, match=r"^update_rule must be one of \('sgd', "
+                       r"'momentum', 'adam'\), got 'nesterov'$"):
         run_optimization(sphere, EstimatorConfig("spsa"), "nesterov",
                          ScheduleSet(), np.ones(2), budget=10)
     with pytest.raises(ValueError, match="budget"):

@@ -211,6 +211,51 @@ def test_config_classes_bound_no_single_field_by_hand():
     ]
 
 
+def _hand_choice_checks(tree: ast.AST) -> list[str]:
+    """The test of each ``if`` that raises and whose whole test is ``<value>
+    not in <choices>``: an upper-case name, a ``tuple()`` of one or a
+    tuple literal."""
+
+    def choices(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple":
+            node = node.args[0]
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        return isinstance(node, ast.Tuple) or name.lstrip("_").isupper()
+
+    return [
+        ast.unparse(node.test)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+        and [type(op) for op in node.test.ops] == [ast.NotIn]
+        and choices(node.test.comparators[0])
+        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    ]
+
+
+def test_no_allowed_value_is_checked_by_hand():
+    # a field's allowed values belong in its ``in`` metadata and an
+    # argument's go through check_choice: one message for every choice
+    found = [
+        f"{path.name}: {test}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for test in _hand_choice_checks(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    bad = ast.parse(
+        "if self.method not in _METHODS:\n    raise ValueError(1)\n"
+        "if kind not in tuple(_KEYS):\n    raise E\n"
+        "if axis not in ('x', 'y'):\n    if z:\n        raise E\n"
+        "if name not in mod.PULSE_LOSSES:\n    raise E\n"
+        "if key not in index:\n    raise KeyError\n"
+        "if a not in B or c:\n    raise E\n"
+        "if a not in B:\n    pass\n"
+    )
+    assert _hand_choice_checks(bad) == [
+        "self.method not in _METHODS", "kind not in tuple(_KEYS)",
+        "axis not in ('x', 'y')", "name not in mod.PULSE_LOSSES",
+    ]
+
+
 def _callable_classes(tree: ast.AST) -> list[str]:
     """Names of the classes in ``tree`` that define ``__call__``."""
     return [

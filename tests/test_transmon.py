@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -442,6 +444,12 @@ def test_rotation_unitary_matrices():
         rotation_unitary("w", 1.0)
     np.testing.assert_allclose(x90 @ x90, rotation_unitary("x", np.pi),
                                atol=1e-15)
+
+
+def test_rotation_axis_is_one_of_x_y_z():
+    message = "axis must be one of ('x', 'y', 'z'), got 'w'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rotation_unitary("w", 1.0)
 
 
 def test_embed_qubit_gate():
