@@ -63,7 +63,6 @@ from .rb import (
 from .schedules import (
     ConditionCheck,
     ScheduleSet,
-    ValidationReport,
     validate_schedules,
 )
 from .transmon import (

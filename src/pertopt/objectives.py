@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -99,15 +98,6 @@ class ObjectiveConfig:
         full[list(self.active_dims)] = theta
         return full
 
-    @cached_property
-    def fir(self) -> np.ndarray | None:
-        """The distortion kernel as one read-only float array, or ``None``."""
-        if self.distortion is None:
-            return None
-        fir = np.array(self.distortion)
-        fir.setflags(write=False)
-        return fir
-
 
 def pulse_propagator(theta: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
     """Simulated propagator of the pulse at ``theta`` (active dims) under ``cfg``.
@@ -117,7 +107,7 @@ def pulse_propagator(theta: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
     wrong-length or non-finite ``theta``.
     """
     coeffs, n = cfg.expand_theta(theta), cfg.n_basis
-    pulse = hann_waveform(coeffs[:n], coeffs[n:], cfg.duration, cfg.dt, cfg.fir)
+    pulse = hann_waveform(coeffs[:n], coeffs[n:], cfg.duration, cfg.dt, cfg.distortion)
     return evolve(pulse, cfg.transmon)
 
 

@@ -383,7 +383,8 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
     often a small fast component over a flat offset, which reads a
     near-perfect gate's ``1 - decay`` hundreds of times too high.
     Standard errors come from the Jacobian at the optimum, as in
-    ``curve_fit``; a singular covariance sets ``degenerate``.  Exactly
+    ``curve_fit``; a rank-deficient one (fewer than three distinct
+    lengths, say) gives infinite errors and sets ``degenerate``.  Exactly
     constant survival carries no decay information and is returned as
     ``decay_rate = 1`` with infinite errors and ``degenerate=True``.
     """
@@ -435,17 +436,19 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
 def _fit_stderr(jacobian: np.ndarray, ssr: float) -> np.ndarray:
     """Parameter standard errors of a least-squares fit, as ``curve_fit``.
 
-    Moore-Penrose inverse of ``J^T J`` discarding singular values below
-    ``eps * max(J.shape) * s_max``, scaled by ``SSR / (n - p)``; infinite
-    when there are no spare degrees of freedom.
+    The inverse of ``J^T J`` from the SVD of ``J``, scaled by
+    ``SSR / (n - p)``.  Infinite when there are no spare degrees of
+    freedom, and when ``J`` is rank-deficient: a singular value at or
+    below ``eps * max(J.shape) * s_max``, which ``curve_fit``'s
+    pseudo-inverse would drop, leaves the parameters undetermined.
     """
     n, n_params = jacobian.shape
-    if n <= n_params or not np.all(np.isfinite(jacobian)):
-        return np.full(n_params, math.inf)
-    _, s, vt = np.linalg.svd(jacobian, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(jacobian.shape) * s[0]
-    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
-    return np.sqrt(np.diag(pcov) * ssr / (n - n_params))
+    if n > n_params and np.all(np.isfinite(jacobian)):
+        _, s, vt = np.linalg.svd(jacobian, full_matrices=False)
+        if s[-1] > np.finfo(float).eps * max(jacobian.shape) * s[0]:
+            pcov = (vt.T / s**2) @ vt
+            return np.sqrt(np.diag(pcov) * ssr / (n - n_params))
+    return np.full(n_params, math.inf)
 
 
 def interleaved_gate_fidelity(p_reference: float, p_interleaved: float) -> float:

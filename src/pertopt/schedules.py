@@ -76,30 +76,10 @@ class ConditionCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Advisory convergence report for a :class:`ScheduleSet`."""
-
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[ConditionCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def __getitem__(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_schedules(schedules: ScheduleSet) -> ValidationReport:
+def validate_schedules(schedules: ScheduleSet) -> dict[str, ConditionCheck]:
     """Check the advisory convergence conditions for a schedule bundle.
 
-    Four named conditions are evaluated:
+    Returns each condition's check by name, in the order below:
 
     - ``learning-rate-divergence``: the learning-rate sum diverges,
       requiring ``alpha <= 1``.
@@ -111,7 +91,7 @@ def validate_schedules(schedules: ScheduleSet) -> ValidationReport:
       ``lam > 0`` and ``lam + alpha - zeta > 1``, or an explicit
       ``truncation_step``.
 
-    The report is pure: identical inputs give identical reports, and no
+    The checks are pure: identical inputs give identical checks, and no
     check mutates the schedule or blocks anything.
     """
     a, z, lam = schedules.alpha, schedules.zeta, schedules.lam
@@ -129,4 +109,4 @@ def validate_schedules(schedules: ScheduleSet) -> ValidationReport:
         conditions["momentum-decay"] = (
             True, f"beta_t truncated to 0 after t = {schedules.truncation_step}"
         )
-    return ValidationReport(tuple(ConditionCheck(n, *c) for n, c in conditions.items()))
+    return {n: ConditionCheck(n, *c) for n, c in conditions.items()}

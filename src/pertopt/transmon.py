@@ -89,19 +89,16 @@ def _float_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Piecewise-constant I/Q samples, optionally FIR-distorted.
+    """Piecewise-constant I/Q samples, the drive ``evolve`` integrates.
 
-    ``distortion`` is a causal FIR kernel applied to both quadratures via
-    full convolution truncated back to the original sample count.  The
-    samples and the kernel are stored as 1-D float64 arrays; one that
-    already is such an array is kept as given, not copied or converted,
-    and every construction checks shapes and finiteness.
+    The samples are stored as 1-D float64 arrays; one that already is
+    such an array is kept as given, not copied or converted, and every
+    construction checks shapes and finiteness.
     """
 
     i_samples: np.ndarray
     q_samples: np.ndarray
     dt: float = 1.0
-    distortion: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         i_s = _float_vector(self.i_samples)
@@ -118,25 +115,10 @@ class PulseSequence:
             raise ValueError("pulse samples must be finite")
         if not 0.0 < self.dt < math.inf:  # NaN fails this comparison too
             raise ValueError(f"dt must be > 0 and finite, got {self.dt}")
-        if self.distortion is not None:
-            fir = _float_vector(self.distortion)
-            object.__setattr__(self, "distortion", fir)
-            if fir.ndim != 1 or fir.size < 1 or not np.isfinite(fir).all():
-                raise ValueError("distortion must be a finite 1-D FIR kernel")
 
     @property
     def n_segments(self) -> int:
         return self.i_samples.size
-
-    def effective_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Samples actually integrated, after any FIR distortion."""
-        if self.distortion is None:
-            return self.i_samples, self.q_samples
-        n = self.n_segments
-        return (
-            np.convolve(self.i_samples, self.distortion, mode="full")[:n],
-            np.convolve(self.q_samples, self.distortion, mode="full")[:n],
-        )
 
 
 @lru_cache(maxsize=32)
@@ -167,8 +149,10 @@ def hann_waveform(
     The I samples are ``sum_i a_i (1 - cos(2 pi i t / duration))`` over
     the basis indices ``i = 1..n`` at ``t = dt * (k + 1/2)``, the Q
     samples the same sum over ``b``.  The coefficients must be 1-D of
-    equal length >= 1 and ``duration / dt`` a whole number of segments;
-    ``distortion`` is the pulse's FIR kernel.
+    equal length >= 1 and ``duration / dt`` a whole number of segments.
+    A ``distortion`` FIR kernel, causal and applied to both quadratures by
+    full convolution truncated back to the sample count, gives the
+    samples the control line delivers.
     """
     a, b = _float_vector(a_coeffs), _float_vector(b_coeffs)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
@@ -176,7 +160,15 @@ def hann_waveform(
     windows = hann_windows(a.size, duration, dt)
     # one vector product per quadrature: a (2, n) matrix product rounds
     # some samples differently in the last bit
-    return PulseSequence(a @ windows, b @ windows, dt, distortion)
+    i_s, q_s = a @ windows, b @ windows
+    if distortion is not None:
+        fir = _float_vector(distortion)
+        if fir.ndim != 1 or fir.size < 1 or not np.isfinite(fir).all():
+            raise ValueError("distortion must be a finite 1-D FIR kernel")
+        n = i_s.size
+        i_s = np.convolve(i_s, fir, mode="full")[:n]
+        q_s = np.convolve(q_s, fir, mode="full")[:n]
+    return PulseSequence(i_s, q_s, dt)
 
 
 @lru_cache(maxsize=32)
@@ -206,7 +198,7 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
     The time-ordered product is formed pairwise, later segments on the
     left, in about ``log2(n_segments)`` batched products.
     """
-    i_s, q_s = pulse.effective_samples()
+    i_s, q_s = pulse.i_samples, pulse.q_samples
     h_static, x_drive, i_levels, eye = _evolve_operators(params)
     energies, modes = np.linalg.eigh(
         h_static + np.hypot(i_s, q_s)[:, None, None] * x_drive

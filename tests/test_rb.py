@@ -419,6 +419,15 @@ def test_fit_flags_constant_survival_as_degenerate():
     assert np.isinf(fit.stderr_decay)
 
 
+@pytest.mark.parametrize("lengths", [(30, 30, 60, 60), (30, 30, 30, 30)])
+def test_fit_flags_too_few_distinct_lengths_as_degenerate(lengths):
+    # A p^m + B is not determined by one or two distinct lengths, even
+    # when the survival varies between repeats
+    fit = fit_rb_decay(lengths, (0.9, 0.88, 0.8, 0.83))
+    assert fit.degenerate
+    assert np.isinf([fit.stderr_amplitude, fit.stderr_offset, fit.stderr_decay]).all()
+
+
 def test_fit_input_validation():
     with pytest.raises(ValueError, match="points"):
         fit_rb_decay((0, 1), (1.0, 0.9))
@@ -548,20 +557,28 @@ def test_fit_matches_bounded_curve_fit():
     cases = (list(_random_decays(60, seed=7)) + list(_upper_bound_decays(40, seed=11))
              + list(_rank_deficient_decays()))
     simulated = list(_simulated_rb(3))
-    fits = []
+    fits, rank_deficient = [], []
     for lengths, survival in cases + simulated:
         fit = fit_rb_decay(lengths, survival)
         popt, pcov = _curve_fit_reference(lengths, survival)
         assert (fit.amplitude, fit.offset, fit.decay_rate) == tuple(popt)
         stderr = (fit.stderr_amplitude, fit.stderr_offset, fit.stderr_decay)
-        np.testing.assert_allclose(stderr, np.sqrt(np.diag(pcov)), rtol=1e-12)
         # the in-repo search ends where scipy's does, with the same Jacobian
         # and cost, so the standard errors agree to the last bit
         search = _least_squares_reference(lengths, survival)
         assert (fit.amplitude, fit.offset, fit.decay_rate) == tuple(search.x)
         reference = rb_module._fit_stderr(search.jac, 2.0 * search.cost)
         assert stderr == tuple(reference)
+        # matrix_rank drops the singular values curve_fit's pseudo-inverse
+        # drops; curve_fit keeps finite errors there, the fit flags them
+        if np.linalg.matrix_rank(search.jac) < 3:
+            assert fit.degenerate and np.isinf(stderr).all()
+            rank_deficient.append(lengths)
+        else:
+            np.testing.assert_allclose(stderr, np.sqrt(np.diag(pcov)), rtol=1e-12)
         fits.append(fit)
+    # both repeated-length ladders are rank-deficient
+    assert sum(np.unique(m).size < 3 for m in rank_deficient) == 2
     # the second batch reaches every upper bound
     assert max(f.decay_rate for f in fits) > 1.0099
     assert max(f.amplitude for f in fits) > 0.999

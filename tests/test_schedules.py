@@ -129,13 +129,14 @@ def test_validator_passes_reference_exponents():
     report = validate_schedules(
         ScheduleSet(alpha=0.602, zeta=0.101, beta0=0.999, lam=0.502)
     )
-    assert report.all_passed
-    assert {c.name for c in report.checks} == {
+    assert all(c.passed for c in report.values())
+    assert list(report) == [
         "learning-rate-divergence",
         "kushner-clark",
         "adaptive-divergence",
         "momentum-decay",
-    }
+    ]
+    assert all(report[name].name == name for name in report)
     with pytest.raises(KeyError, match="unknown"):
         report["unknown"]
 
@@ -144,8 +145,7 @@ def test_validator_flags_slow_momentum_decay():
     report = validate_schedules(
         ScheduleSet(alpha=0.602, zeta=0.101, beta0=0.999, lam=0.4)
     )
-    assert not report.all_passed
-    failed = report.failed()
+    failed = [c for c in report.values() if not c.passed]
     assert len(failed) == 1
     assert failed[0].name == "momentum-decay"
     # the other three conditions still hold
@@ -159,7 +159,7 @@ def test_validator_accepts_truncation_instead_of_decay():
         ScheduleSet(alpha=0.602, zeta=0.101, beta0=0.999, lam=0.4,
                     truncation_step=50)
     )
-    assert report.all_passed
+    assert all(c.passed for c in report.values())
     assert "truncated" in report["momentum-decay"].detail
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -85,7 +86,9 @@ def test_hann_waveform_midpoint_sampling():
                                atol=1e-15)
     assert pulse.i_samples[2] == 2.0  # midpoint t = 10 hits the peak exactly
     np.testing.assert_array_equal(pulse.q_samples, np.zeros(5))
-    assert pulse.dt == 4.0 and pulse.distortion is None
+    assert pulse.dt == 4.0
+    # no kernel travels with the pulse: evolve integrates these samples
+    assert [f.name for f in dataclasses.fields(pulse)] == ["i_samples", "q_samples", "dt"]
 
 
 def test_hann_waveform_matches_series_sum():
@@ -114,8 +117,12 @@ def test_hann_waveform_validates_its_coefficients():
             hann_waveform([1.0], [0.0], duration, dt)
     with pytest.raises(ValueError, match="finite"):
         hann_waveform([np.nan], [0.0], 20.0, 1.0)
+    for fir in ([np.nan], [0.5, np.inf], [], [[0.5]]):
+        with pytest.raises(ValueError, match="distortion must be a finite"):
+            hann_waveform([1.0], [0.0], 20.0, 1.0, distortion=fir)
+    plain = hann_waveform([1.0], [0.0], 20.0, 1.0)
     distorted = hann_waveform([1.0], [0.0], 20.0, 1.0, distortion=(0.5,))
-    np.testing.assert_array_equal(distorted.distortion, [0.5])
+    np.testing.assert_array_equal(distorted.i_samples, 0.5 * plain.i_samples)
 
 
 def test_pulse_sequence_validation():
@@ -123,9 +130,6 @@ def test_pulse_sequence_validation():
         PulseSequence(i_samples=[1.0, 2.0], q_samples=[1.0])
     with pytest.raises(ValueError, match="finite"):
         PulseSequence(i_samples=[np.inf], q_samples=[0.0])
-    for fir in ([np.nan], [0.5, np.inf]):
-        with pytest.raises(ValueError, match="distortion must be a finite"):
-            PulseSequence(i_samples=[1.0], q_samples=[0.0], distortion=fir)
     for dt in (0.0, np.nan):
         with pytest.raises(ValueError, match="dt must be > 0"):
             PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
@@ -138,16 +142,50 @@ def test_pulse_sequence_dt_must_be_finite(dt):
 
 
 def test_fir_distortion_shifts_and_scales_samples():
-    pulse = PulseSequence(i_samples=[1.0, 2.0, 3.0], q_samples=[4.0, 5.0, 6.0],
-                          distortion=[0.0, 1.0])
-    i_eff, q_eff = pulse.effective_samples()
-    np.testing.assert_allclose(i_eff, [0.0, 1.0, 2.0], atol=1e-15)
-    np.testing.assert_allclose(q_eff, [0.0, 4.0, 5.0], atol=1e-15)
+    a, b = [1.0, 0.5], [0.25, -1.0]
+    plain = hann_waveform(a, b, 5.0, 1.0)
+    delayed = hann_waveform(a, b, 5.0, 1.0, distortion=[0.0, 1.0])
+    np.testing.assert_allclose(delayed.i_samples, [0.0, *plain.i_samples[:-1]],
+                               atol=1e-15)
+    np.testing.assert_allclose(delayed.q_samples, [0.0, *plain.q_samples[:-1]],
+                               atol=1e-15)
 
-    identity = PulseSequence(i_samples=[1.0, 2.0], q_samples=[0.0, 0.0],
-                             distortion=[1.0])
-    i_eff, _ = identity.effective_samples()
-    np.testing.assert_array_equal(i_eff, [1.0, 2.0])
+    identity = hann_waveform(a, b, 5.0, 1.0, distortion=[1.0])
+    np.testing.assert_array_equal(identity.i_samples, plain.i_samples)
+    np.testing.assert_array_equal(identity.q_samples, plain.q_samples)
+
+
+def test_distorted_waveform_evolves_as_convolved_samples():
+    # hann_waveform's FIR path gives evolve the bits of the samples
+    # convolved by hand, taken from the undistorted waveform
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.floats(-1.0, 1.0)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        coeffs=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.lists(coeff, min_size=n, max_size=n),
+                                st.lists(coeff, min_size=n, max_size=n))),
+        segments=st.integers(1, 24),
+        dt=st.sampled_from([0.5, 1.0, 2.0]),
+        fir=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
+        n_levels=st.sampled_from([2, 3, 4]),
+    )
+    def check(coeffs, segments, dt, fir, n_levels):
+        a, b = coeffs
+        params = TransmonParams(n_levels=n_levels)
+        duration = segments * dt
+        plain = hann_waveform(a, b, duration, dt)
+        n = plain.n_segments
+        by_hand = PulseSequence(np.convolve(plain.i_samples, fir)[:n],
+                                np.convolve(plain.q_samples, fir)[:n], dt)
+        np.testing.assert_array_equal(
+            evolve(hann_waveform(a, b, duration, dt, fir), params),
+            evolve(by_hand, params),
+        )
+
+    check()
 
 
 # ----------------------------------------------------------------- dynamics
@@ -216,9 +254,9 @@ def test_third_level_leaks_under_strong_fast_drive():
 
 
 def test_distorted_pulse_changes_rotation_angle():
-    base = PulseSequence(np.full(8, 0.4), np.zeros(8))
-    halved = PulseSequence(np.full(8, 0.4), np.zeros(8), distortion=[0.5])
-    expected = PulseSequence(np.full(8, 0.2), np.zeros(8))
+    base = hann_waveform([0.4, 0.1], [0.0, 0.0], 8.0, 1.0)
+    halved = hann_waveform([0.4, 0.1], [0.0, 0.0], 8.0, 1.0, distortion=[0.5])
+    expected = hann_waveform([0.2, 0.05], [0.0, 0.0], 8.0, 1.0)
     np.testing.assert_allclose(
         evolve(halved, QUBIT), evolve(expected, QUBIT), atol=1e-12
     )
@@ -244,31 +282,37 @@ def lab_frame_propagator(i_s, q_s, dt, params, distortion=None):
 
 
 def _oracle_cases():
+    """``(n_levels, pulse, undistorted pulse, FIR kernel)`` per case."""
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
         cases = {
-            f"random{n_seg}": (*rng.uniform(-1, 1, (2, n_seg)), 0.7, None)
+            f"random{n_seg}": PulseSequence(*rng.uniform(-1, 1, (2, n_seg)), 0.7)
             for n_seg in (1, 2, 7, 20, 33)
         }
-        cases["distorted"] = (*rng.uniform(-1, 1, (2, 20)), 1.3, [0.6, 0.3, 0.1])
-        cases["pure_q"] = (np.zeros(7), rng.uniform(-1, 1, 7), 1.0, None)
-        cases["negative_i"] = (-rng.uniform(0, 1, 7), np.zeros(7), 1.0, None)
-        cases["all_zero"] = (np.zeros(5), np.zeros(5), 2.0, None)
-        cases["mixed_zeros"] = (
+        # 20 Hann samples through hann_waveform's FIR path; the oracle
+        # convolves the undistorted samples itself
+        a, b = rng.uniform(-1, 1, (2, 5))
+        fir = [0.6, 0.3, 0.1]
+        distorted = (hann_waveform(a, b, 26.0, 1.3, fir), hann_waveform(a, b, 26.0, 1.3))
+        cases["pure_q"] = PulseSequence(np.zeros(7), rng.uniform(-1, 1, 7), 1.0)
+        cases["negative_i"] = PulseSequence(-rng.uniform(0, 1, 7), np.zeros(7), 1.0)
+        cases["all_zero"] = PulseSequence(np.zeros(5), np.zeros(5), 2.0)
+        cases["mixed_zeros"] = PulseSequence(
             np.array([0.0, -0.4, 0.0, 0.8, -0.0, 0.3]),
             np.array([0.0, 0.0, 0.5, -0.2, -0.0, 0.0]),
             0.5,
-            None,
         )
-        for label, case in cases.items():
-            yield pytest.param(n, *case, id=f"{n}levels-{label}")
+        for label, pulse in cases.items():
+            yield pytest.param(n, pulse, pulse, None, id=f"{n}levels-{label}")
+        yield pytest.param(n, *distorted, fir, id=f"{n}levels-distorted")
 
 
-@pytest.mark.parametrize("n_levels, i_s, q_s, dt, distortion", _oracle_cases())
-def test_evolve_matches_lab_frame_expm_product(n_levels, i_s, q_s, dt, distortion):
+@pytest.mark.parametrize("n_levels, pulse, undistorted, distortion", _oracle_cases())
+def test_evolve_matches_lab_frame_expm_product(n_levels, pulse, undistorted, distortion):
     params = TransmonParams(n_levels=n_levels)
-    pulse = PulseSequence(i_s, q_s, dt=dt, distortion=distortion)
-    expected = lab_frame_propagator(i_s, q_s, dt, params, distortion)
+    expected = lab_frame_propagator(
+        undistorted.i_samples, undistorted.q_samples, undistorted.dt, params, distortion
+    )
     np.testing.assert_allclose(evolve(pulse, params), expected, rtol=0.0, atol=1e-12)
 
 
