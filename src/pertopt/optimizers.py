@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_choice, is_integer
+from .checks import check_choice, is_finite_real, is_integer
 from .estimators import (
     EstimatorConfig,
     Objective,
@@ -195,11 +195,17 @@ def run_optimization(
 
     ``seed`` feeds the estimator's direction draws only; a stochastic
     objective owns its noise stream.  Identical seeds and objective give a
-    bitwise-identical trajectory.
+    bitwise-identical trajectory.  ``clip_box`` ``(low, high)``, two finite
+    numbers with ``low < high``, bounds every coordinate of every update.
     """
     check_choice("update_rule", update_rule, UPDATE_RULES)
     if not is_integer(budget) or budget < 0:
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
+    if clip_box is not None and not (
+        np.shape(clip_box) == (2,) and all(map(is_finite_real, clip_box))
+        and clip_box[0] < clip_box[1]
+    ):
+        raise ValueError(f"clip_box must be finite with low < high, got {clip_box!r}")
     rng = np.random.default_rng(seed)
     theta = np.array(initial_theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
@@ -214,10 +220,7 @@ def run_optimization(
         trajectory.initial_loss = evaluate_objective(objective, theta, "loss")
         while n_evals + cost <= budget:
             t += 1
-            a_t = schedules.learning_rate(t)
-            c_t = schedules.perturbation_size(t)
-            beta_t = schedules.momentum_coeff(t)
-            gamma_t = schedules.second_moment_coeff(t)
+            a_t, c_t, beta_t, gamma_t = schedules.coefficients(t)
             g_hat = estimate_gradient(objective, theta, estimator, c_t, rng).g_hat
             if update_rule == "sgd":
                 theta = sgd_step(theta, g_hat, a_t)

@@ -16,13 +16,6 @@ from dataclasses import dataclass, field
 from .checks import check_fields, is_integer
 
 
-def _power_law(coeff: float, exponent: float, t: int) -> float:
-    """``coeff / t**exponent`` for constants already checked; ``t`` is checked."""
-    if not is_integer(t) or t < 1:
-        raise ValueError(f"schedule step must be >= 1 and an integer, got t={t!r}")
-    return coeff / float(t) ** exponent
-
-
 @dataclass(frozen=True)
 class ScheduleSet:
     """Bundle of all schedules used by one optimization run.
@@ -49,22 +42,18 @@ class ScheduleSet:
     def __post_init__(self) -> None:
         check_fields(self)
 
-    # __post_init__ has checked the constants; each call checks only t
-    def learning_rate(self, t: int) -> float:
-        return _power_law(self.a0, self.alpha, t)
-
-    def perturbation_size(self, t: int) -> float:
-        return _power_law(self.c0, self.zeta, t)
-
-    def momentum_coeff(self, t: int) -> float:
-        if self.truncation_step is not None and t > self.truncation_step:
-            return 0.0
-        return _power_law(self.beta0, self.lam, t)
-
-    def second_moment_coeff(self, t: int) -> float:
-        # constant by design (gamma / t**0 is gamma); kept as a method so
-        # the update loop treats all four coefficients uniformly
-        return _power_law(self.gamma, 0.0, t)
+    def coefficients(self, t: int) -> tuple[float, float, float, float]:
+        """``(a_t, c_t, beta_t, gamma_t)`` of step ``t``; this checks only ``t``
+        (also past ``truncation_step``), ``__post_init__`` the constants."""
+        if not is_integer(t) or t < 1:
+            raise ValueError(f"schedule step must be >= 1 and an integer, got t={t!r}")
+        truncated = self.truncation_step is not None and t > self.truncation_step
+        return (
+            self.a0 / float(t) ** self.alpha,
+            self.c0 / float(t) ** self.zeta,
+            0.0 if truncated else self.beta0 / float(t) ** self.lam,
+            float(self.gamma),
+        )
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,10 @@ def test_3_adaptive_update_equivalence():
         theta = np.zeros(4)
         betas, gammas = [], []
         for t, g in enumerate(grads, start=1):
-            betas.append(sched.momentum_coeff(t))
-            gammas.append(sched.second_moment_coeff(t))
-            state, theta = adam_step(
-                state, theta, g, sched.learning_rate(t), betas[-1], gammas[-1]
-            )
+            a_t, _, beta_t, gamma_t = sched.coefficients(t)
+            betas.append(beta_t)
+            gammas.append(gamma_t)
+            state, theta = adam_step(state, theta, g, a_t, beta_t, gamma_t)
             w_m = sum(
                 (1.0 - betas[i]) * np.prod(betas[i + 1 : t])
                 for i in range(t)
@@ -201,7 +200,7 @@ def test_3_adaptive_update_equivalence():
         pos = np.zeros(4)
         for t in range(1, 16):
             state, pos = adam_step(
-                state, pos, g, 0.01, sched.momentum_coeff(t), 0.95
+                state, pos, g, 0.01, sched.coefficients(t)[2], 0.95
             )
             np.testing.assert_array_equal(state.m / state.weight_mass_m, g)
             np.testing.assert_array_equal(state.v / state.weight_mass_v, g * g)

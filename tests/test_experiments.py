@@ -915,6 +915,21 @@ def test_readme_python_api_names_only_exported_objects():
     }
     assert "estimate_gradient" in names
     assert sorted(names - set(pertopt.__all__)) == []
+    # a dotted span `Object.member` names an attribute, property, method or
+    # dataclass field of that object: a removed member leaves the prose too
+    members = {
+        match.groups()
+        for span in re.findall(r"`([^`]+)`", prose)
+        if (match := re.match(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span))
+    }
+    assert ("ScheduleSet", "coefficients") in members
+
+    def has_member(name, member):
+        obj = getattr(pertopt, name)
+        fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+        return hasattr(obj, member) or member in {f.name for f in fields}
+
+    assert [m for m in sorted(members) if not has_member(*m)] == []
 
 
 def test_initial_theta_kinds():

@@ -360,9 +360,10 @@ def test_recorded_schedules_and_eval_grid():
     assert [r.iteration for r in traj.records] == list(range(1, 11))
     assert [r.n_evals for r in traj.records] == list(range(2, 21, 2))
     for r in traj.records:
-        assert r.a_t == schedules.learning_rate(r.iteration)
-        assert r.c_t == schedules.perturbation_size(r.iteration)
-        assert r.beta_t == schedules.momentum_coeff(r.iteration)
+        a_t, c_t, beta_t, _ = schedules.coefficients(r.iteration)
+        assert r.a_t == a_t
+        assert r.c_t == c_t
+        assert r.beta_t == beta_t
 
 
 def test_run_is_bitwise_deterministic():
@@ -394,6 +395,23 @@ def test_clip_box_bounds_every_iterate():
     )
     for rec in traj.records:
         assert np.all(rec.theta >= -0.1) and np.all(rec.theta <= 0.1)
+
+
+@pytest.mark.parametrize(
+    "clip_box", [(1.0, -1.0), (0.0, 0.0), (np.nan, 1.0), (0.0, np.inf), (-1.0,),
+                 (-1.0, 0.0, 1.0), 1.0, (True, 2.0), ("-1", "1")],
+)
+def test_clip_box_it_cannot_apply_is_refused_before_any_evaluation(clip_box):
+    # np.clip would pin every coordinate to -1 under (1, -1) and to 0 under
+    # (0, 0); a NaN bound would abort the run as if the objective had failed
+    calls = []
+    with pytest.raises(ValueError, match=r"^clip_box must be finite with "
+                       r"low < high, got "):
+        run_optimization(
+            lambda th: calls.append(th) or 0.0, EstimatorConfig("spsa"), "sgd",
+            ScheduleSet(), np.zeros(2), budget=10, clip_box=clip_box,
+        )
+    assert calls == []
 
 
 def test_descent_on_sphere_improves():

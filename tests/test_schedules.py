@@ -10,21 +10,22 @@ from pertopt import ScheduleSet, validate_schedules
 
 def test_power_law_first_step_returns_coefficient():
     s = ScheduleSet(a0=0.032, alpha=0.602, c0=0.016, zeta=0.101)
-    assert s.learning_rate(1) == 0.032
-    assert s.perturbation_size(1) == 0.016
+    a_1, c_1, _, _ = s.coefficients(1)
+    assert a_1 == 0.032
+    assert c_1 == 0.016
 
 
 def test_power_law_frozen_values():
     # 0.032 / 2**0.602 and 0.016 / 10**0.101
     s = ScheduleSet(a0=0.032, alpha=0.602, c0=0.016, zeta=0.101)
-    assert np.isclose(s.learning_rate(2), 0.02108287922774624, atol=1e-15)
-    assert np.isclose(s.perturbation_size(10), 0.012680021287687549, atol=1e-15)
+    assert np.isclose(s.coefficients(2)[0], 0.02108287922774624, atol=1e-15)
+    assert np.isclose(s.coefficients(10)[1], 0.012680021287687549, atol=1e-15)
 
 
 def test_power_law_zero_exponent_is_constant():
     s = ScheduleSet(beta0=0.999, lam=0.0)
     for t in (1, 7, 1000):
-        assert s.momentum_coeff(t) == 0.999
+        assert s.coefficients(t)[2] == 0.999
 
 
 @pytest.mark.parametrize(
@@ -41,33 +42,44 @@ def test_power_law_refuses_non_finite_constants_and_fractional_steps(
     # ScheduleSet refuses non-finite constants itself, see
     # test_schedule_coefficients_must_be_finite_numbers
     with pytest.raises(ValueError, match=match):
-        ScheduleSet(a0=coeff, alpha=exponent).learning_rate(t)
+        ScheduleSet(a0=coeff, alpha=exponent).coefficients(t)
 
 
 def test_power_law_rejects_bad_steps():
     s = ScheduleSet(a0=1.0, alpha=0.5)
     with pytest.raises(ValueError, match="step must be >= 1"):
-        s.learning_rate(0)
+        s.coefficients(0)
     with pytest.raises(ValueError, match="step must be >= 1"):
-        s.learning_rate(-3)
+        s.coefficients(-3)
 
 
 def test_schedule_set_per_step_values():
     s = ScheduleSet(a0=0.032, alpha=0.602, c0=0.016, zeta=0.101, beta0=0.999,
                     lam=0.4, gamma=0.99)
-    assert s.learning_rate(1) == 0.032
-    assert s.perturbation_size(1) == 0.016
-    assert s.momentum_coeff(1) == 0.999
-    assert s.second_moment_coeff(1) == 0.99
-    assert s.learning_rate(2) == 0.032 / 2**0.602
-    assert s.momentum_coeff(8) == 0.999 / 8**0.4
+    assert s.coefficients(1) == (0.032, 0.016, 0.999, 0.99)
+    assert s.coefficients(2)[0] == 0.032 / 2**0.602
+    assert s.coefficients(8)[2] == 0.999 / 8**0.4
 
 
 def test_momentum_truncation_zeroes_late_steps():
     s = ScheduleSet(beta0=0.9, lam=0.0, truncation_step=5)
-    assert s.momentum_coeff(5) == 0.9
-    assert s.momentum_coeff(6) == 0.0
-    assert s.momentum_coeff(1000) == 0.0
+    assert s.coefficients(5)[2] == 0.9
+    assert s.coefficients(6)[2] == 0.0
+    assert s.coefficients(1000)[2] == 0.0
+
+
+@pytest.mark.parametrize(
+    "truncation_step, t",
+    [(5, 7.5), (5, 6.0), (5, np.float64(6.0)), (5, np.float32(1e6)),
+     (0, True), (0, 1.0), (0, np.float64(2.0))],
+)
+def test_steps_past_the_truncation_are_still_checked(truncation_step, t):
+    # beta_t is 0 past the truncation, but a step that is no integer is
+    # refused there as before it
+    s = ScheduleSet(beta0=0.9, truncation_step=truncation_step)
+    with pytest.raises(ValueError, match=r"^schedule step must be >= 1 and an "
+                       r"integer, got t="):
+        s.coefficients(t)
 
 
 def test_schedule_set_validation_errors():
@@ -95,8 +107,8 @@ def test_truncation_step_must_be_an_integer_or_none():
     for bad in (10.5, 10.0, True, "3"):
         with pytest.raises(ValueError, match="truncation_step"):
             ScheduleSet(truncation_step=bad)
-    assert ScheduleSet(truncation_step=np.int64(3)).momentum_coeff(4) == 0.0
-    assert ScheduleSet(a0=1, alpha=np.float64(0.5)).learning_rate(4) == 0.5
+    assert ScheduleSet(truncation_step=np.int64(3)).coefficients(4)[2] == 0.0
+    assert ScheduleSet(a0=1, alpha=np.float64(0.5)).coefficients(4)[0] == 0.5
     with pytest.raises(ValueError, match="truncation_step"):
         ScheduleSet(truncation_step=-1)
     with pytest.raises(ValueError, match="alpha must be >= 0"):
@@ -115,12 +127,8 @@ def test_schedules_positive_and_non_increasing():
             lam=rng.uniform(0.0, 1.0),
         )
         ts = np.arange(1, 60)
-        for values in (
-            [s.learning_rate(t) for t in ts],
-            [s.perturbation_size(t) for t in ts],
-            [s.momentum_coeff(t) for t in ts],
-        ):
-            values = np.array(values)
+        # each of a_t, c_t and beta_t over the steps
+        for values in np.array([s.coefficients(t)[:3] for t in ts]).T:
             assert np.all(values > 0)
             assert np.all(np.diff(values) <= 0)
 
