@@ -99,11 +99,14 @@ def estimate_gradient(
 
     RSGF samples share a single baseline evaluation; its actual call count
     is therefore ``n_samples + 1`` regardless of billing mode.  FDSA draws
-    nothing, so ``rng`` may be ``None`` for it.
+    nothing, so ``rng`` may be ``None`` for it; SPSA and RSGF raise
+    ``ValueError`` without one, before any draw or objective call.
     """
     theta = np.asarray(theta, dtype=float)
     if not 0.0 < c < math.inf:  # NaN fails this too
         raise ValueError(f"perturbation size c must be > 0 and finite, got {c}")
+    if rng is None and config.method != "fdsa":
+        raise ValueError(f"the {config.method} estimator requires an rng (Generator)")
     n, d = config.n_samples, theta.size
     if config.method == "rsgf":
         u = rng.standard_normal((n, d))

@@ -32,6 +32,17 @@ from .transmon import (
 )
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_array(theta) -> np.ndarray:
+    """``np.asarray(theta, dtype=float)``; a float64 array is returned as
+    is, without the call."""
+    if type(theta) is np.ndarray and theta.dtype is _FLOAT64:
+        return theta
+    return np.asarray(theta, dtype=float)
+
+
 @dataclass(frozen=True)
 class ObjectiveConfig:
     """Everything a pulse loss needs besides the pulse coefficients.
@@ -89,7 +100,7 @@ class ObjectiveConfig:
 
     def expand_theta(self, theta: np.ndarray) -> np.ndarray:
         """Lift an active-subset vector to the full (A, B) vector."""
-        theta = np.asarray(theta, dtype=float)
+        theta = _float_array(theta)
         if theta.ndim != 1 or theta.size != self.dim:
             raise ValueError(f"theta must be 1-D of length {self.dim}")
         if self.active_dims is None:
@@ -224,7 +235,7 @@ def make_pulse_objective(
             raise ValueError(f"{name} requires an rng (Generator or seed)")
         # an RSGF baseline repeats the loss probe's theta: reuse its
         # propagator, but draw the noise fresh
-        theta = np.asarray(theta, dtype=float)
+        theta = _float_array(theta)
         key = theta.shape, theta.tobytes()
         if key != last[0]:
             last[:] = key, pulse_propagator(theta, cfg)

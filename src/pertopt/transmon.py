@@ -176,14 +176,15 @@ def _evolve_operators(params: TransmonParams) -> tuple[np.ndarray, ...]:
     """Read-only pulse-independent arrays of ``evolve``.
 
     The static Hamiltonian, the real drive operator ``(drive_scale/2)
-    (a + ad)``, the imaginary level indices ``1j * k`` and the identity.
+    (a + ad)``, the imaginary level indices ``1j * k`` and the complex
+    identity.
     """
     n = params.n_levels
     a = lowering_operator(n)
     levels = np.arange(n, dtype=float)
     h_static = np.diag(-(params.anharmonicity / 2.0) * levels * (levels - 1.0))
     x_drive = 0.5 * params.drive_scale * (a + a.T)
-    ops = (h_static, x_drive, 1j * levels, np.eye(n))
+    ops = (h_static, x_drive, 1j * levels, np.eye(n, dtype=complex))
     for op in ops:
         op.setflags(write=False)
     return ops
@@ -216,7 +217,11 @@ def evolve(pulse: PulseSequence, params: TransmonParams) -> np.ndarray:
             product[-1] = segments[-1] @ product[-1]
         segments = product
     u = segments[0]
-    drift = np.abs(u.conj().T @ u - eye).max()
+    # in place against the complex identity: the bits of
+    # np.abs(gram - eye).max() without its cast, temporary and wrapper
+    gram = u.conj().T @ u
+    gram -= eye
+    drift = np.maximum.reduce(np.abs(gram), axis=None)
     if not drift <= 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.3e} exceeds 1e-8")
     return u
@@ -245,7 +250,11 @@ def excited_frequency(probs: np.ndarray, shots: int, rng: np.random.Generator) -
     ``probs[1]`` at ``shots = 0``, else level 1's count over ``shots`` in one
     multinomial draw from ``rng``: ``measure_population(...).excited``'s bits.
     """
-    total = np.add.reduce(probs)  # probs.sum() without its Python wrapper
+    # numpy sums fewer than 8 contiguous floats left to right, and so does
+    # this loop, in Python floats (sum() compensates from Python 3.12 on)
+    total = 0.0
+    for p in probs.tolist():
+        total += p
     _check_norm(abs(total - 1.0))
     if shots == 0:
         return float(probs[1])

@@ -97,6 +97,26 @@ def test_positive_perturbation_required():
             estimate_gradient(sphere, np.zeros(2), EstimatorConfig(method), c, rng)
 
 
+@pytest.mark.parametrize("method", ["spsa", "rsgf"])
+def test_random_directions_require_an_rng(method):
+    # None used to fail inside the first draw with an AttributeError
+    f = CountingObjective(sphere)
+    with pytest.raises(ValueError, match=f"the {method} estimator requires an rng"):
+        estimate_gradient(f, np.zeros(2), EstimatorConfig(method), 0.1, None)
+    assert f.calls == 0
+
+
+def test_fdsa_draws_nothing_so_needs_no_rng():
+    theta, cfg = np.array([0.3, -1.2, 0.5]), EstimatorConfig("fdsa", n_samples=2)
+    rng = np.random.default_rng(0)
+    with_rng = estimate_gradient(sphere, theta, cfg, 0.1, rng)
+    without = estimate_gradient(sphere, theta, cfg, 0.1, None)
+    np.testing.assert_array_equal(without.g_hat, with_rng.g_hat)
+    assert without.n_evaluations == with_rng.n_evaluations == 12
+    # the rng it was given is left where it was
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 @pytest.mark.parametrize("method", ["fdsa", "spsa", "rsgf"])
 @pytest.mark.parametrize("c", [np.nan, np.inf])
 def test_perturbation_size_must_be_finite(c, method):

@@ -378,8 +378,11 @@ def test_benchmark_traced_layers_run(monkeypatch):
     distorted = ObjectiveConfig(shots=0, distortion=(0.8, 0.2))
     make_pulse_objective("lx", distorted)(theta)
     assert calls == {"hann_waveform": 2, "evolve": 2}
+    # the rough stage's loss: one propagator for both readouts
+    make_pulse_objective("l_combined", cfg)(theta)
+    assert calls == {"hann_waveform": 3, "evolve": 3}
     make_pulse_objective("l_rb", cfg, rng=0)(theta)
     assert calls == {
-        "hann_waveform": 3, "evolve": 3, "run_rb": 1, "fit_rb_decay": 1,
+        "hann_waveform": 4, "evolve": 4, "run_rb": 1, "fit_rb_decay": 1,
         "rb.compile_cliffords": 1, "rb.measure_population": 1,
     }

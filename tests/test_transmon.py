@@ -128,11 +128,27 @@ def test_hann_waveform_validates_its_coefficients():
 def test_pulse_sequence_validation():
     with pytest.raises(ValueError, match="equal length"):
         PulseSequence(i_samples=[1.0, 2.0], q_samples=[1.0])
-    with pytest.raises(ValueError, match="finite"):
-        PulseSequence(i_samples=[np.inf], q_samples=[0.0])
     for dt in (0.0, np.nan):
         with pytest.raises(ValueError, match="dt must be > 0"):
             PulseSequence(i_samples=[1.0], q_samples=[0.0], dt=dt)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("quadrature", ["i", "q"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pulse_sequence_samples_must_be_finite(bad, quadrature):
+    # one bad sample among finite ones, refused without a warning
+    samples = {"i": [0.1, 0.2, 0.3], "q": [0.0, -0.1, 0.4]}
+    samples[quadrature][1] = bad
+    with pytest.raises(ValueError, match="pulse samples must be finite"):
+        PulseSequence(samples["i"], samples["q"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extreme", [1.7e308, -1.7e308, 5e-324, -5e-324])
+def test_pulse_sequence_accepts_finite_extremes(extreme):
+    pulse = PulseSequence([extreme, 0.0], [0.0, extreme])
+    assert pulse.i_samples[0] == pulse.q_samples[1] == extreme
 
 
 @pytest.mark.parametrize("dt", [np.inf, -np.inf])
@@ -340,8 +356,8 @@ def test_pulse_independent_caches_are_read_only():
             array[...] = 0.0
 
 
-@pytest.mark.parametrize("scale", [np.nan, 1.1], ids=["nan", "scaled"])
-def test_non_unitary_modes_raise(scale, monkeypatch):
+def _scaled_modes(monkeypatch, scale):
+    """Make ``eigh`` return its modes times ``scale``."""
     real_eigh = np.linalg.eigh
 
     def fake_eigh(h):
@@ -349,9 +365,27 @@ def test_non_unitary_modes_raise(scale, monkeypatch):
         return energies, modes * scale
 
     monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
-    pulse = PulseSequence(np.full(4, 0.3), np.full(4, 0.1))
-    with pytest.raises(UnitarityError, match="unitarity drift"):
-        evolve(pulse, TRANSMON)
+
+
+# on this 4-segment pulse, modes scaled by s drift by about 16 (s - 1)
+SCALED_PULSE = PulseSequence(np.full(4, 0.3), np.full(4, 0.1))
+
+
+@pytest.mark.parametrize(
+    "scale, drift",
+    [(np.nan, "nan"), (1.1, "3.595e+00"), (1.0 + 1e-9, "1.600e-08")],
+    ids=["nan", "scaled", "just_above_threshold"],
+)
+def test_non_unitary_modes_raise(scale, drift, monkeypatch):
+    _scaled_modes(monkeypatch, scale)
+    message = f"unitarity drift {drift} exceeds 1e-8"
+    with pytest.raises(UnitarityError, match=re.escape(message)):
+        evolve(SCALED_PULSE, TRANSMON)
+
+
+def test_modes_just_below_the_unitarity_threshold_evolve(monkeypatch):
+    _scaled_modes(monkeypatch, 1.0 + 1e-10)
+    assert evolve(SCALED_PULSE, TRANSMON).shape == (3, 3)
 
 
 # ------------------------------------------------------------- measurement
