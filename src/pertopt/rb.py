@@ -216,19 +216,18 @@ def run_rb(
     the same bounded 32-bit generator, so the values and the stream are
     those of the default ``int64`` draw); with ``shots > 0`` the
     per-sequence measurement draws follow, also in ladder order.  Each
-    block goes straight into ``uint16`` pair codes, ``b * 25 + a`` for
-    Clifford ``a`` then ``b``, where 24 stands for the identity.  All
-    sequences are then stepped together, one code per row and step: a
-    table of all ordered products of two step matrices (and the identity)
-    is built once per call.  Rows are sorted by descending length, so the
-    rows still running form a prefix: a row is stepped only while its
-    length exceeds ``2 s``, so no code past its own pairs is read, and an
-    odd length's last pair ends with the identity.  Between two ladder
-    lengths the running prefix is fixed: it is stepped as one compact
-    state, each product a fresh array, and written back once.  Each row's
-    composite element comes from its codes through the group's table of
-    pair elements, then by multiplying neighbours pairwise (the group
-    product is associative, so this is exact).
+    block becomes that entry's ``((m + 1) // 2, n_sequences)`` ``uint16``
+    pair codes, ``b * 25 + a`` for Clifford ``a`` then ``b``; 24 is the
+    identity, which ends an odd length's last pair.  All sequences are
+    stepped together, one code per row and step, through a table of all
+    ordered products of two step matrices (and the identity) built once
+    per call.  Rows are sorted by descending length, so the rows still
+    running form a prefix, fixed between two ladder lengths: its codes for
+    those steps are gathered into one slab, and it is stepped as one
+    compact state, each product a fresh array, and written back once.
+    Each row's composite element comes from its codes through the group's
+    table of pair elements, then by multiplying neighbours pairwise (the
+    group product is associative, so this is exact).
     """
     gate = np.asarray(gate, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1] or gate.shape[0] < 2:
@@ -268,44 +267,45 @@ def run_rb(
     # rows come in blocks of n_sequences per ladder entry, longest first
     # (stable, so equal lengths keep ladder order)
     order = np.argsort(-lengths, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    n_rows = lengths.size * n_sequences
-    n_pairs = (lengths.max() + 1) // 2
-    # each block writes only its own pairs; nothing reads past them
-    codes = np.empty((n_pairs, n_rows), dtype=np.uint16)
-    composite = np.zeros(n_rows, dtype=np.uint16)
+    slot = np.argsort(order)  # the inverse permutation
+    # codes[slot[li]]: entry li's pair codes, one row per step, written whole
+    codes = [None] * lengths.size
+    composite = np.zeros((lengths.size, n_sequences), dtype=np.uint16)
     for li, m in enumerate(lengths):
-        rows = slice(slot[li] * n_sequences, (slot[li] + 1) * n_sequences)
         draw = rng.integers(
             0, n_group, size=(n_sequences, m), dtype=np.int32
         ).T.astype(np.uint16)
-        pair_codes = codes[:(m + 1) // 2, rows]
+        pair_codes = np.empty(((m + 1) // 2, n_sequences), dtype=np.uint16)
         pair_codes[:m // 2] = draw[1::2]
         # an odd length's last pair ends with the identity
         pair_codes[m // 2:] = n_group
         pair_codes *= n_ext
         pair_codes += draw[0::2]
+        del draw  # not held through the composite tree's index conversions
+        codes[slot[li]] = pair_codes
         block = pair_elements.take(pair_codes)
         while len(block) > 1:
             half = len(block) // 2
             pair = block[0:2 * half:2] * n_group + block[1::2]
             block = np.concatenate((products.take(pair), block[2 * half:]))
         if m:
-            composite[rows] = block[0]
+            composite[slot[li]] = block[0]
 
-    psi = np.zeros((n_rows, n_levels), dtype=complex)
+    psi = np.zeros((lengths.size * n_sequences, n_levels), dtype=complex)
     psi[:, 0] = 1.0
-    # ends[b] counts block b's pairs, longest block first: the first c
-    # blocks alone run from step ends[c] to ends[c - 1], as one compact state
+    # ends[b] counts block b's pairs, longest first: the first c blocks alone
+    # run from step ends[c] to ends[c - 1], one compact state and code slab
     ends = np.append((lengths[order] + 1) // 2, 0).tolist()
     for c in range(lengths.size, 0, -1):
-        k = c * n_sequences
-        state = psi[:k]
-        for row in codes[ends[c]:ends[c - 1], :k]:
+        if ends[c] == ends[c - 1]:
+            continue
+        running = [entry[ends[c]:ends[c - 1]] for entry in codes[:c]]
+        slab = running[0] if c == 1 else np.concatenate(running, axis=1)
+        state = psi[:c * n_sequences]
+        for row in slab:
             state = np.einsum("rij,rj->ri", pairs.take(row, axis=0), state)
-        psi[:k] = state
-    recovery = compiled[group.inverse[composite]]
+        psi[:c * n_sequences] = state
+    recovery = compiled[group.inverse[composite.ravel()]]
     psi = np.einsum("rij,rj->ri", recovery, psi)
 
     # back to ladder order before measuring
@@ -394,6 +394,8 @@ def fit_rb_decay(lengths, survival) -> RBFitResult:
         raise ValueError("need >= 3 aligned (length, survival) points")
     if not (np.all(np.isfinite(lengths)) and np.all(np.isfinite(survival))):
         raise ValueError("lengths and survival must be finite")
+    if np.any(lengths < 0):
+        raise ValueError(f"sequence lengths must be >= 0, got {lengths.tolist()}")
     if np.ptp(survival) == 0.0:
         return RBFitResult(
             amplitude=0.0,

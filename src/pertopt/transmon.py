@@ -290,8 +290,8 @@ def measure_population(
     # the transpose puts levels first, so one code path serves both shapes
     probs = (np.abs(state) ** 2).T
     total = probs.sum(axis=0)
-    # a batch's worst state (NaN if any state is NaN)
-    _check_norm(abs(total - 1.0).max())
+    # a batch's worst state (NaN if any state is NaN; 0 for an empty batch)
+    _check_norm(abs(total - 1.0).max(initial=0.0))
     freq = probs if shots == 0 else rng.multinomial(shots, (probs / total).T).T / shots
     ground, excited, leakage = freq[0], freq[1], freq[2:].sum(axis=0)
     if state.ndim == 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -226,10 +227,11 @@ def test_run_rb_draws_one_index_block_per_ladder_entry(
 @pytest.mark.parametrize("n_levels", [2, 3, 4])
 @pytest.mark.parametrize("interleaved", [False, True])
 def test_run_rb_reads_no_unwritten_pair_code(monkeypatch, n_levels, interleaved):
-    # run_rb allocates its code table uninitialized: a row is stepped only
-    # while it has pairs of its own.  Filled with a code that is no identity
-    # in either mode (Clifford 1, an X90 slot, then the identity), the table
-    # would change survival if any unwritten entry were read
+    # run_rb allocates each ladder entry's code block uninitialized and
+    # writes it whole, and a stretch gathers only the blocks still running.
+    # Filled with a code that is no identity in either mode (Clifford 1, an
+    # X90 slot, then the identity), a block would change survival if any
+    # unwritten entry were read
     gate = noisy_x90(n_levels, 0.1, seed=n_levels)
     lengths = (0, 1, 2, 7, 7, 301)
     seed = 10 * n_levels + interleaved
@@ -248,6 +250,30 @@ def test_run_rb_reads_no_unwritten_pair_code(monkeypatch, n_levels, interleaved)
     assert data.survival.tobytes() == clean.survival.tobytes()
     expected = loop_run_rb(gate, lengths, 3, seed=seed, interleaved=interleaved)
     np.testing.assert_allclose(data.survival, expected, rtol=0.0, atol=1e-12)
+
+
+def test_final_ladder_run_rb_memory_peak_scales_with_its_pair_codes():
+    # each sequence keeps only its own uint16 pair codes, 2 bytes each; the
+    # longest entry's composite tree briefly turns its codes into 8-byte
+    # indices.  6 bytes per code written bounds the whole call: one code
+    # table of the longest sequence's pairs for every row would alone take
+    # 900 x 800 x 2 bytes, 6.5 bytes per code written
+    lengths, n_sequences = FinalRBConfig.lengths, 80
+    gate = noisy_x90(3, 0.05, seed=1)
+    run_rb(gate, (1, 2, 3), 2, shots=10, seed=0)  # group and numpy caches
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_rb(gate, lengths, n_sequences, shots=1000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    n_codes = n_sequences * sum((m + 1) // 2 for m in lengths)
+    assert n_codes == 220_400
+    assert peak <= 6 * n_codes
 
 
 def test_three_level_ideal_gate_keeps_survival():
@@ -433,6 +459,8 @@ def test_fit_input_validation():
         fit_rb_decay((0, 1), (1.0, 0.9))
     with pytest.raises(ValueError, match="points"):
         fit_rb_decay((0, 1, 2), (1.0, 0.9))
+    with pytest.raises(ValueError, match="lengths must be >= 0"):
+        fit_rb_decay([-1, 2, 3], [0.9, 0.8, 0.7])
 
 
 def test_fit_stderr_covers_truth():

@@ -416,6 +416,14 @@ def test_measure_population_validation():
         measure_population(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shots", [0, 100])
+def test_measure_population_of_an_empty_batch_is_empty(shots):
+    # an (n, levels) batch with n = 0 has no norm to check and no draws
+    m = measure_population(np.zeros((0, 3)), shots, 0 if shots else None)
+    for field in m:
+        assert field.shape == (0,) and field.dtype == np.float64
+
+
 def test_nan_states_raise():
     with pytest.raises(ValueError, match="norm"):
         measure_population(np.array([np.nan, 0.0, 0.0]))
